@@ -485,7 +485,8 @@ impl ReplicaManager {
 
     /// Rebuild `view` in place from the full replica map, reusing its
     /// allocations. Use after shape changes (server join, prune) or to
-    /// initialise a fresh view.
+    /// initialise a fresh view. Costs O(partitions + replicas): the view
+    /// stores only the servers that hold a replica.
     pub fn render_view(&self, topo: &Topology, capacity_mean: f64, view: &mut PlacementView) {
         view.reset(self.replica_sets.len() as u32, self.storage_used.len() as u32);
         for p_idx in 0..self.replica_sets.len() {
@@ -493,9 +494,10 @@ impl ReplicaManager {
         }
     }
 
-    /// Re-render one partition's row of `view` in place — the delta
-    /// update for a partition whose replica set (or holder) changed.
-    /// Produces exactly what a full rebuild would for that row.
+    /// Re-render one partition's capacity cells in `view` in place —
+    /// the delta update for a partition whose replica set (or holder)
+    /// changed. Produces exactly what a full rebuild would for that
+    /// partition.
     pub fn render_partition(
         &self,
         topo: &Topology,

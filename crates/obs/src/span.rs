@@ -36,8 +36,10 @@ pub struct SpanEvent {
     /// Microseconds of local work: total hop time minus queue and
     /// forward phases. At the client this is the full round-trip.
     pub handle_us: f64,
-    /// Microseconds spent in peer round-trips (forwards issued by a
-    /// coordinator; zero elsewhere).
+    /// Microseconds with at least one peer round-trip outstanding
+    /// (forwards issued by a coordinator; zero elsewhere). A put's
+    /// parallel forwards overlap, so this is wall time, not the sum of
+    /// their round-trips.
     pub forward_us: f64,
     /// Ack status observed at this hop: `"ok"`, `"not_found"` or
     /// `"unavailable"`.

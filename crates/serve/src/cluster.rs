@@ -541,6 +541,11 @@ impl Cluster {
         &self.infos
     }
 
+    /// The published replica set of partition `p`, holder first.
+    pub fn route(&self, p: PartitionId) -> Vec<ServerId> {
+        self.shared.route(p)
+    }
+
     /// Render the address file consumed by `rfh loadgen --connect`:
     /// one `server dc addr` line per node.
     pub fn render_addr_file(&self) -> String {

@@ -219,8 +219,49 @@ struct PendingOp {
     kind: ReqKind,
     t0: Instant,
     phases: PhaseAcc,
+    /// Forwards sent and not yet resolved (acked or failed).
+    forwards_out: u32,
+    /// Start of the current stretch with at least one forward
+    /// outstanding. The forward phase is the union of these stretches,
+    /// not the sum of round-trips: a put's parallel fan-out overlaps,
+    /// a get's candidate walk does not.
+    forwarding_since: Instant,
     state: OpState,
     reply: Option<Frame>,
+}
+
+impl PendingOp {
+    fn new(op_seq: u64, op_id: Option<u64>, kind: ReqKind, state: OpState) -> PendingOp {
+        let now = Instant::now();
+        PendingOp {
+            op_seq,
+            op_id,
+            kind,
+            t0: now,
+            phases: PhaseAcc::default(),
+            forwards_out: 0,
+            forwarding_since: now,
+            state,
+            reply: None,
+        }
+    }
+
+    /// A forward went out on a peer channel.
+    fn forward_sent(&mut self, now: Instant) {
+        if self.forwards_out == 0 {
+            self.forwarding_since = now;
+        }
+        self.forwards_out += 1;
+    }
+
+    /// A forward resolved; the last one closes the stretch and adds its
+    /// wall time to the forward phase.
+    fn forward_resolved(&mut self) {
+        self.forwards_out -= 1;
+        if self.forwards_out == 0 {
+            self.phases.forward_us += self.forwarding_since.elapsed().as_micros() as f64;
+        }
+    }
 }
 
 #[cfg(unix)]
@@ -594,15 +635,10 @@ impl Reactor {
                 else {
                     return false;
                 };
-                c.pending.push_back(PendingOp {
-                    op_seq,
-                    op_id,
-                    kind: ReqKind::ForwardGet, // unused once Ready
-                    t0: Instant::now(),
-                    phases: PhaseAcc::default(),
-                    state: OpState::Ready,
-                    reply: Some(reply),
-                });
+                // The kind is unused once Ready.
+                let mut pend = PendingOp::new(op_seq, op_id, ReqKind::ForwardGet, OpState::Ready);
+                pend.reply = Some(reply);
+                c.pending.push_back(pend);
                 self.release(slot);
             }
         }
@@ -620,15 +656,7 @@ impl Reactor {
         let Some(Entry::Client(c)) = self.entries.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        c.pending.push_back(PendingOp {
-            op_seq,
-            op_id,
-            kind,
-            t0: Instant::now(),
-            phases: PhaseAcc::default(),
-            state,
-            reply: None,
-        });
+        c.pending.push_back(PendingOp::new(op_seq, op_id, kind, state));
     }
 
     // ---- get state machine ----------------------------------------
@@ -885,11 +913,15 @@ impl Reactor {
                 else {
                     return;
                 };
+                let now = Instant::now();
                 ch.wq.push(frame.encode_traced(op_id));
-                ch.tickets.push_back(Ticket { op, target, sent_at: Instant::now(), purpose });
+                ch.tickets.push_back(Ticket { op, target, sent_at: now, purpose });
                 if !ch.dirty {
                     ch.dirty = true;
                     self.dirty.push(chan);
+                }
+                if let Some(pend) = resolve(&mut self.entries, op) {
+                    pend.forward_sent(now);
                 }
             }
             Err(_) => self.forward_failed(op, target, purpose),
@@ -975,7 +1007,7 @@ impl Reactor {
             match Frame::decode_envelope(&body) {
                 Ok((ack @ Frame::Ack { .. }, _)) => {
                     if let Some(pend) = resolve(&mut self.entries, t.op) {
-                        pend.phases.forward_us += t.sent_at.elapsed().as_micros() as f64;
+                        pend.forward_resolved();
                     }
                     match t.purpose {
                         Purpose::Get => self.complete(t.op, ack),
@@ -1013,6 +1045,9 @@ impl Reactor {
         self.peer_map.remove(&(ch.owner, ch.peer));
         self.free.push(slot);
         for t in ch.tickets.drain(..) {
+            if let Some(pend) = resolve(&mut self.entries, t.op) {
+                pend.forward_resolved();
+            }
             self.forward_failed(t.op, t.target, t.purpose);
         }
     }
@@ -1116,5 +1151,42 @@ impl Reactor {
         self.free.push(slot);
         // In-flight tickets referencing this conn resolve to nothing:
         // slot generations make their completions no-ops.
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn overlapping_forwards_count_their_wall_time_once() {
+        let mut pend = PendingOp::new(0, None, ReqKind::Put, OpState::Ready);
+        // A put fans out to three replicas at once.
+        let sent = Instant::now();
+        for _ in 0..3 {
+            pend.forward_sent(sent);
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        for _ in 0..3 {
+            pend.forward_resolved();
+        }
+        let total = pend.t0.elapsed().as_micros() as f64;
+        assert!(pend.phases.forward_us >= 20_000.0, "{}", pend.phases.forward_us);
+        assert!(pend.phases.forward_us <= total, "{} > {total}", pend.phases.forward_us);
+    }
+
+    #[test]
+    fn sequential_forwards_add_up() {
+        let mut pend = PendingOp::new(0, None, ReqKind::Get, OpState::Ready);
+        // A get walks two candidates one after the other, idling between.
+        for _ in 0..2 {
+            pend.forward_sent(Instant::now());
+            std::thread::sleep(Duration::from_millis(10));
+            pend.forward_resolved();
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let total = pend.t0.elapsed().as_micros() as f64;
+        assert!(pend.phases.forward_us >= 20_000.0, "{}", pend.phases.forward_us);
+        assert!(pend.phases.forward_us <= total - 20_000.0, "idle time is not forwarding");
     }
 }

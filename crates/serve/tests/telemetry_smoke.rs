@@ -3,10 +3,12 @@
 //! under chaos.
 
 use rfh_faults::FaultPlan;
+use rfh_serve::store::partition_of;
 use rfh_serve::{
     http, render_dashboard, run_loadgen_with, ArrivalMode, Cluster, ClusterConfig, DataPlane,
-    LoadGenConfig, TelemetryRing,
+    LoadGenConfig, ServeClient, TelemetryRing,
 };
+use std::time::{Duration, Instant};
 
 fn small_cluster(telemetry: bool) -> ClusterConfig {
     plane_cluster(telemetry, DataPlane::Reactor)
@@ -189,6 +191,71 @@ fn threaded_plane_yields_identical_span_chains() {
 #[test]
 fn pipelined_traced_ops_keep_their_span_chains() {
     span_chains_on(DataPlane::Reactor, 8);
+}
+
+/// A coordinated put fans out to its remote replicas in parallel, so
+/// its forward phase is the wall time with any forward outstanding,
+/// not the sum of the round-trips. Phases split the coordinator's own
+/// time, which the client's round-trip contains: queue + forward must
+/// fit inside it, also with three forwards in flight at once.
+#[test]
+fn parallel_put_forward_phase_fits_inside_the_op() {
+    let cluster = Cluster::start(&small_cluster(true), FaultPlan::default()).unwrap();
+    let spans = cluster.span_log();
+    let key = 42u64;
+    let p = partition_of(key, 16);
+    let mut clients: Vec<ServeClient> =
+        (0..10).map(|dc| ServeClient::new(cluster.node_infos(), dc, 0).unwrap()).collect();
+    let mut seq = 0;
+    let mut op_id = 0;
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut wide = 0;
+    while wide < 10 {
+        assert!(Instant::now() < deadline, "partition {p:?} never reached 3 replicas");
+        // Hot writes from every datacenter make RFH replicate the
+        // partition beyond its floor of two.
+        let route = cluster.route(p);
+        for c in clients.iter_mut() {
+            seq += 1;
+            let remote = route.len() >= 3
+                && route.iter().all(|s| cluster.node_infos()[s.index()].dc != c.datacenter());
+            if remote {
+                // Every replica is remote from this coordinator: the
+                // put forwards to all of them at once.
+                c.set_span_log(spans.clone());
+                op_id += 1;
+                c.put_traced(key, seq, b"v", Some(op_id)).unwrap();
+                wide += 1;
+            } else {
+                c.put(key, seq, b"v").unwrap();
+            }
+        }
+    }
+    let events = spans.events();
+    cluster.shutdown().unwrap();
+
+    let mut checked = 0;
+    for id in 1..=op_id {
+        let chain: Vec<_> = events.iter().filter(|e| e.op_id == id).collect();
+        let (Some(client), Some(coord)) = (
+            chain.iter().find(|e| e.role == "client"),
+            chain.iter().find(|e| e.role == "coordinate"),
+        ) else {
+            continue;
+        };
+        if chain.iter().filter(|e| e.role == "forward").count() < 3 {
+            continue;
+        }
+        assert!(
+            coord.queue_us + coord.forward_us <= client.handle_us,
+            "op {id}: queue {} + forward {} exceeds the {} us round-trip",
+            coord.queue_us,
+            coord.forward_us,
+            client.handle_us
+        );
+        checked += 1;
+    }
+    assert!(checked > 0, "no traced put forwarded to three replicas");
 }
 
 #[test]

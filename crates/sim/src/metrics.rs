@@ -249,13 +249,8 @@ pub fn mean_utilization(view: &PlacementView, accounts: &TrafficAccounts) -> f64
     let mut count = 0usize;
     for p_idx in 0..view.partitions() {
         let p = PartitionId::new(p_idx);
-        for s in view.replica_servers(p) {
-            let cap = view.capacity(p, s);
-            debug_assert!(cap > 0.0);
-            let served = accounts.served.get(s.index(), p.index());
-            total += (served / cap).min(1.0);
-            count += 1;
-        }
+        total = add_utilization(total, view, accounts, p);
+        count += view.cells(p).len();
     }
     if count == 0 {
         0.0
@@ -278,13 +273,7 @@ pub fn mean_utilization_active(
 ) -> f64 {
     let mut total = 0.0;
     for &pu in active {
-        let p = PartitionId::new(pu);
-        for s in view.replica_servers(p) {
-            let cap = view.capacity(p, s);
-            debug_assert!(cap > 0.0);
-            let served = accounts.served.get(s.index(), p.index());
-            total += (served / cap).min(1.0);
-        }
+        total = add_utilization(total, view, accounts, PartitionId::new(pu));
     }
     let count = view.nonzero_cells();
     if count == 0 {
@@ -292,6 +281,21 @@ pub fn mean_utilization_active(
     } else {
         total / count as f64
     }
+}
+
+/// Add `min(1, served / capacity)` of every replica cell of `p` to
+/// `total`, ascending by server id.
+fn add_utilization(
+    mut total: f64,
+    view: &PlacementView,
+    accounts: &TrafficAccounts,
+    p: PartitionId,
+) -> f64 {
+    for &(s, cap) in view.cells(p) {
+        debug_assert!(cap > 0.0);
+        total += (accounts.served(p, s) / cap).min(1.0);
+    }
+    total
 }
 
 /// eq. (25): population standard deviation of per-alive-server load.

@@ -27,8 +27,15 @@
 //! report the fraction of demand answered within
 //! [`SLA_TARGET_MS`]; unserved queries are SLA violations by
 //! definition.
+//!
+//! [`TrafficAccounts`] stores everything per partition: the datacenter
+//! flows as dense `[partition][dc]` rows, and the served queries as a
+//! short list of `(server, served)` cells for the servers that served
+//! any. A server absent from a partition's list served nothing there,
+//! so resetting, reading and folding one partition's accounts costs
+//! O(replicas + datacenters), not O(servers).
 
-use crate::grid::Grid;
+use crate::grid::{CellRows, Grid};
 use crate::placement::PlacementView;
 use rfh_topology::Topology;
 use rfh_types::{DatacenterId, PartitionId, ServerId};
@@ -41,19 +48,25 @@ pub const SLA_TARGET_MS: f64 = 300.0;
 pub const INTRA_DC_LATENCY_MS: f64 = 1.0;
 
 /// Everything the traffic pass learns about one epoch.
+///
+/// Every per-partition account is stored partition-major, so one
+/// partition's cells are contiguous: the datacenter flows as dense
+/// `[partition][dc]` rows (ten wide on the paper topology), the served
+/// queries as a sparse row of `(server, served)` cells per partition.
+/// Read them through the accessors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficAccounts {
-    /// `dc_traffic[dc][partition]` — residual query flow arriving at
-    /// each datacenter for each partition (`tr_ikt` summed over
-    /// requesters, at datacenter granularity).
-    pub dc_traffic: Grid,
-    /// `dc_outflow[dc][partition]` — residual query flow each datacenter
+    /// `[partition][dc]` — residual query flow arriving at each
+    /// datacenter for each partition (`tr_ikt` summed over requesters,
+    /// at datacenter granularity).
+    pub(crate) dc_traffic: Grid,
+    /// `[partition][dc]` — residual query flow each datacenter
     /// *forwards onward* after its local replicas absorbed what they
     /// could (the "forwarding traffic" of §I; zero at the terminal hop).
-    pub dc_outflow: Grid,
-    /// `served[server][partition]` — queries actually served by replicas
-    /// on each server.
-    pub served: Grid,
+    pub(crate) dc_outflow: Grid,
+    /// Per partition, `(server, queries served)` for every server whose
+    /// replicas served any, ascending by server id.
+    pub(crate) served: CellRows,
     /// Residual demand per partition that no replica (including the
     /// holder) could serve this epoch.
     pub unserved: Vec<f64>,
@@ -66,7 +79,7 @@ pub struct TrafficAccounts {
     pub holder_dc: Vec<DatacenterId>,
     /// Per-server total served queries (`l_i`), cached by the engine at
     /// the end of every pass so [`server_load`](Self::server_load) is
-    /// O(1) instead of an O(partitions) row sum per call.
+    /// O(1).
     pub(crate) server_loads: Vec<f64>,
     /// Queries served, weighted by the hop at which they were served.
     pub(crate) hops_weighted: f64,
@@ -87,7 +100,7 @@ impl TrafficAccounts {
         TrafficAccounts {
             dc_traffic: Grid::zeros(0, 0),
             dc_outflow: Grid::zeros(0, 0),
-            served: Grid::zeros(0, 0),
+            served: CellRows::default(),
             unserved: Vec::new(),
             holder_dc: Vec::new(),
             server_loads: Vec::new(),
@@ -102,9 +115,9 @@ impl TrafficAccounts {
     /// Reshape for a fresh pass and zero every account, reusing all
     /// backing allocations.
     pub(crate) fn reset(&mut self, n_dcs: usize, n_parts: usize, n_servers: usize) {
-        self.dc_traffic.reset(n_dcs, n_parts);
-        self.dc_outflow.reset(n_dcs, n_parts);
-        self.served.reset(n_servers, n_parts);
+        self.dc_traffic.reset(n_parts, n_dcs);
+        self.dc_outflow.reset(n_parts, n_dcs);
+        self.served.reset(n_parts);
         self.unserved.clear();
         self.unserved.resize(n_parts, 0.0);
         self.holder_dc.clear();
@@ -117,29 +130,34 @@ impl TrafficAccounts {
         self.unserved_total = 0.0;
     }
 
+    /// Whether the accounts already have the shape of a pass over
+    /// `n_parts` partitions, `n_dcs` datacenters and `n_servers`
+    /// servers (with the persistent holder map sized to match).
+    pub(crate) fn has_shape(&self, n_dcs: usize, n_parts: usize, n_servers: usize) -> bool {
+        self.dc_traffic.rows() == n_parts
+            && self.dc_traffic.cols() == n_dcs
+            && self.served.rows() == n_parts
+            && self.server_loads.len() == n_servers
+            && self.holder_dc.len() == n_parts
+    }
+
     /// Sparse-pass reset: zero only the per-partition cells the previous
     /// sparse pass wrote (`prev`) plus every pass-global accumulator.
     /// All other per-partition cells are already zero by the sparse
     /// invariant — a partition outside the active set carries no load —
     /// so this is equivalent to [`reset`](Self::reset) at the same shape
-    /// in O(prev × (datacenters + servers)) instead of O(partitions).
+    /// in O(prev × datacenters + cells) instead of O(partitions).
     /// `holder_dc` is deliberately left alone: it is a persistent map in
-    /// sparse mode, not a per-pass account.
+    /// sparse mode, not a per-pass account; the per-server loads are
+    /// rebuilt by [`fold_server_loads`](Self::fold_server_loads).
     pub(crate) fn clear_sparse(&mut self, prev: &[u32]) {
-        let n_dcs = self.dc_traffic.rows();
-        let n_servers = self.served.rows();
         for &p in prev {
             let p = p as usize;
-            for dc in 0..n_dcs {
-                self.dc_traffic.set(dc, p, 0.0);
-                self.dc_outflow.set(dc, p, 0.0);
-            }
-            for s in 0..n_servers {
-                self.served.set(s, p, 0.0);
-            }
+            self.dc_traffic.row_mut(p).fill(0.0);
+            self.dc_outflow.row_mut(p).fill(0.0);
+            self.served.clear_row(p);
             self.unserved[p] = 0.0;
         }
-        self.server_loads.fill(0.0);
         self.hops_weighted = 0.0;
         self.latency_weighted_ms = 0.0;
         self.sla_within = 0.0;
@@ -147,10 +165,51 @@ impl TrafficAccounts {
         self.unserved_total = 0.0;
     }
 
+    /// Fold the per-server loads from the served cells of `parts`
+    /// (ascending), one cell per `(server, partition)`. A server without
+    /// a cell in some partition adds nothing, which equals adding the
+    /// dense pass's exact `+0.0` to these non-negative sums, so each
+    /// load is bit-identical to a dense sum over every partition.
+    pub(crate) fn fold_server_loads(&mut self, parts: impl Iterator<Item = usize>) {
+        self.server_loads.fill(0.0);
+        for p in parts {
+            for &(s, v) in self.served.row(p) {
+                self.server_loads[s.index()] += v;
+            }
+        }
+    }
+
+    /// Residual query flow arriving at datacenter `dc` for partition `p`
+    /// (`tr_ikt` summed over requesters).
+    #[inline]
+    pub fn dc_traffic(&self, p: PartitionId, dc: DatacenterId) -> f64 {
+        self.dc_traffic.get(p.index(), dc.index())
+    }
+
+    /// Residual query flow datacenter `dc` forwards onward for
+    /// partition `p` after its local replicas absorbed what they could.
+    #[inline]
+    pub fn dc_outflow(&self, p: PartitionId, dc: DatacenterId) -> f64 {
+        self.dc_outflow.get(p.index(), dc.index())
+    }
+
+    /// Queries of partition `p` served by replicas on server `s`.
+    #[inline]
+    pub fn served(&self, p: PartitionId, s: ServerId) -> f64 {
+        self.served.get(p.index(), s)
+    }
+
+    /// The servers that served queries of `p` this epoch and how many,
+    /// ascending by server id. Every listed amount is positive.
+    #[inline]
+    pub fn served_cells(&self, p: PartitionId) -> &[(ServerId, f64)] {
+        self.served.row(p.index())
+    }
+
     /// Traffic arriving at the holder of partition `p` (`tr_iit`,
     /// the quantity eq. 12 compares against `β·q̄`).
     pub fn holder_traffic(&self, p: PartitionId) -> f64 {
-        self.dc_traffic.get(self.holder_dc[p.index()].index(), p.index())
+        self.dc_traffic.get(p.index(), self.holder_dc[p.index()].index())
     }
 
     /// Total queries served across the cluster this epoch.
@@ -177,7 +236,7 @@ impl TrafficAccounts {
 
     /// Queries served by one server across all partitions (its workload
     /// `l_i` for the load-imbalance metric). Reads the per-pass cache —
-    /// O(1), bit-identical to summing the server's `served` row.
+    /// O(1), bit-identical to summing the server's served cells.
     pub fn server_load(&self, s: ServerId) -> f64 {
         self.server_loads[s.index()]
     }
@@ -284,12 +343,12 @@ mod tests {
         let acc = compute_traffic(&topo, &load, &view);
         // eq. 5: traffic at the requester (C) is the full load; no
         // absorption en route, so every hop sees 10.
-        assert_eq!(acc.dc_traffic.get(2, 0), 10.0);
-        assert_eq!(acc.dc_traffic.get(1, 0), 10.0);
-        assert_eq!(acc.dc_traffic.get(0, 0), 10.0);
+        assert_eq!(acc.dc_traffic(p0(), d(2)), 10.0);
+        assert_eq!(acc.dc_traffic(p0(), d(1)), 10.0);
+        assert_eq!(acc.dc_traffic(p0(), d(0)), 10.0);
         assert_eq!(acc.holder_traffic(p0()), 10.0);
         // Holder serves everything: 2 hops each.
-        assert_eq!(acc.served.get(0, 0), 10.0);
+        assert_eq!(acc.served(p0(), s(0)), 10.0);
         assert_eq!(acc.served_total(), 10.0);
         assert_eq!(acc.unserved_total(), 0.0);
         assert_eq!(acc.mean_path_length(), 2.0);
@@ -303,11 +362,11 @@ mod tests {
         // Replica at B (server 1) with capacity 6; holder has plenty.
         let view = view_with(&[(0, 100.0), (1, 6.0)]);
         let acc = compute_traffic(&topo, &load, &view);
-        assert_eq!(acc.dc_traffic.get(2, 0), 10.0, "requester sees all");
-        assert_eq!(acc.dc_traffic.get(1, 0), 10.0, "traffic *arriving* at B is still 10");
-        assert_eq!(acc.dc_traffic.get(0, 0), 4.0, "eq. 4: residual after B's capacity");
-        assert_eq!(acc.served.get(1, 0), 6.0);
-        assert_eq!(acc.served.get(0, 0), 4.0);
+        assert_eq!(acc.dc_traffic(p0(), d(2)), 10.0, "requester sees all");
+        assert_eq!(acc.dc_traffic(p0(), d(1)), 10.0, "traffic *arriving* at B is still 10");
+        assert_eq!(acc.dc_traffic(p0(), d(0)), 4.0, "eq. 4: residual after B's capacity");
+        assert_eq!(acc.served(p0(), s(1)), 6.0);
+        assert_eq!(acc.served(p0(), s(0)), 4.0);
         // 6 queries at hop 1, 4 at hop 2 → mean 1.4.
         assert!((acc.mean_path_length() - 1.4).abs() < 1e-12);
     }
@@ -319,9 +378,9 @@ mod tests {
         load.add(p0(), d(2), 5);
         let view = view_with(&[(0, 100.0), (2, 50.0)]);
         let acc = compute_traffic(&topo, &load, &view);
-        assert_eq!(acc.served.get(2, 0), 5.0);
+        assert_eq!(acc.served(p0(), s(2)), 5.0);
         assert_eq!(acc.mean_path_length(), 0.0);
-        assert_eq!(acc.dc_traffic.get(1, 0), 0.0, "nothing forwarded");
+        assert_eq!(acc.dc_traffic(p0(), d(1)), 0.0, "nothing forwarded");
         assert_eq!(acc.holder_traffic(p0()), 0.0);
     }
 
@@ -335,8 +394,8 @@ mod tests {
         load.add(p0(), d(0), 8);
         let view = view_with(&[(0, 100.0), (2, 50.0)]);
         let acc = compute_traffic(&topo, &load, &view);
-        assert_eq!(acc.served.get(2, 0), 0.0);
-        assert_eq!(acc.served.get(0, 0), 8.0);
+        assert_eq!(acc.served(p0(), s(2)), 0.0);
+        assert_eq!(acc.served(p0(), s(0)), 8.0);
         assert_eq!(acc.mean_path_length(), 0.0, "holder is local to requester");
     }
 
@@ -351,8 +410,8 @@ mod tests {
         let acc = compute_traffic(&topo, &load, &view);
         // B's own 4 queries absorb locally; C's 4 find only 2 left at B,
         // 1 at the holder, and 1 is unserved.
-        assert_eq!(acc.served.get(1, 0), 6.0);
-        assert_eq!(acc.served.get(0, 0), 1.0);
+        assert_eq!(acc.served(p0(), s(1)), 6.0);
+        assert_eq!(acc.served(p0(), s(0)), 1.0);
         assert_eq!(acc.unserved[0], 1.0);
         assert_eq!(acc.unserved_total(), 1.0);
         assert_eq!(acc.served_total(), 7.0);
@@ -366,8 +425,8 @@ mod tests {
         load.add(p0(), d(2), 10);
         let view = view_with(&[(0, 100.0), (1, 50.0)]);
         let acc = compute_traffic(&topo, &load, &view);
-        assert_eq!(acc.served.get(1, 0), 0.0, "dead replica is skipped");
-        assert_eq!(acc.served.get(0, 0), 10.0);
+        assert_eq!(acc.served(p0(), s(1)), 0.0, "dead replica is skipped");
+        assert_eq!(acc.served(p0(), s(0)), 10.0);
     }
 
     #[test]
@@ -395,13 +454,13 @@ mod tests {
         view.add_capacity(PartitionId::new(0), s(0), 100.0);
         view.add_capacity(PartitionId::new(1), s(2), 100.0);
         let acc = compute_traffic(&topo, &load, &view);
-        assert_eq!(acc.served.get(0, 0), 5.0);
-        assert_eq!(acc.served.get(2, 1), 7.0);
+        assert_eq!(acc.served(p0(), s(0)), 5.0);
+        assert_eq!(acc.served(PartitionId::new(1), s(2)), 7.0);
         assert_eq!(acc.server_load(s(0)), 5.0);
         assert_eq!(acc.server_load(s(2)), 7.0);
         assert_eq!(acc.server_load(s(1)), 0.0);
         // Partition 1's queries from A travel A→B→C.
-        assert_eq!(acc.dc_traffic.get(1, 1), 7.0);
+        assert_eq!(acc.dc_traffic(PartitionId::new(1), d(1)), 7.0);
         assert_eq!(acc.holder_dc[1], d(2));
     }
 
@@ -458,6 +517,6 @@ mod tests {
         assert_eq!(acc.served_total(), 0.0);
         assert_eq!(acc.unserved_total(), 0.0);
         assert_eq!(acc.mean_path_length(), 0.0);
-        assert_eq!(acc.dc_traffic.total(), 0.0);
+        assert_eq!((0..3).map(|dc| acc.dc_traffic(p0(), d(dc))).sum::<f64>(), 0.0);
     }
 }

@@ -1,9 +1,9 @@
 //! The reusable per-epoch traffic engine.
 //!
 //! [`compute_traffic`](crate::absorption::compute_traffic) allocates
-//! its whole working set — three grids, the remaining-capacity matrix,
-//! and a routing path per `(requester, holder)` pair — on every call.
-//! Inside a simulation that pass runs once per epoch per policy, so the
+//! its whole working set — the accounts, the capacity index, and a
+//! routing path per `(requester, holder)` pair — on every call. Inside
+//! a simulation that pass runs once per epoch per policy, so the
 //! allocations and the repeated shortest-path walks dominate the hot
 //! loop.
 //!
@@ -12,19 +12,38 @@
 //! * a [`RouteTable`] caching every DC pair's path *and* the cumulative
 //!   latency at each hop, refreshed only when the topology's
 //!   [`generation`](rfh_topology::Topology::generation) moves;
-//! * per-generation membership caches (each server's datacenter, each
-//!   datacenter's alive servers in `server_ids()` order);
-//! * a capacity index keyed on [`PlacementView::version`]: which
-//!   servers are worth visiting per `(partition, datacenter)` pair;
+//! * per-generation membership caches: each server's datacenter and its
+//!   rank in the visit order (below);
+//! * a capacity index keyed on [`PlacementView::version`]: each
+//!   partition's alive capacity-bearing servers, grouped per datacenter
+//!   in visit order;
 //! * per-shard working buffers, zeroed in place each pass.
+//!
+//! ## Visit order and fold order
+//!
+//! Two orders fix every `f64` the pass produces:
+//!
+//! * **Visit order.** Within one datacenter, replicas absorb residual
+//!   queries in the datacenter's `server_ids()` order (rooms → racks →
+//!   servers), datacenters in path order. After a server joins a rack,
+//!   this is not ascending server id, so
+//!   [`sync_topology`](TrafficEngine::sync_topology) ranks every alive
+//!   server once per topology generation and the index sorts each
+//!   partition's few [`PlacementView::cells`] by that rank. The work is
+//!   O(replicas) per partition, not O(servers).
+//! * **Fold order.** Each server's load is folded in ascending partition
+//!   order, one served cell per `(server, partition)`. A partition where
+//!   the server served nothing has no cell and adds nothing, which is
+//!   bit-identical to adding the dense pass's `+0.0` to these
+//!   non-negative sums.
 //!
 //! ## Sharded pass, canonical merge
 //!
 //! Partitions are independent in the traffic pass: remaining capacity
-//! is a per-partition row, every grid write lands in a per-partition
-//! column, and the within-partition accounting order (requesters
-//! ascending, hops in path order, indexed servers in visit order) fixes
-//! every cell's value exactly. Only five scalar totals (`hops_weighted`,
+//! is per partition, every account write lands in a per-partition row,
+//! and the within-partition accounting order (requesters ascending, hops
+//! in path order, indexed servers in visit order) fixes every cell's
+//! value exactly. Only five scalar totals (`hops_weighted`,
 //! `latency_weighted_ms`, `sla_within`, `served_total`,
 //! `unserved_total`) cross partitions, and `f64` addition is not
 //! associative — so the engine defines their *canonical* value as
@@ -49,6 +68,9 @@ use crate::absorption::{TrafficAccounts, INTRA_DC_LATENCY_MS, SLA_TARGET_MS};
 use crate::grid::Grid;
 use crate::placement::PlacementView;
 
+/// [`TrafficEngine`] visit rank of a failed server: never indexed.
+const DEAD: u32 = u32::MAX;
+
 /// A stateful traffic pass: all buffers preallocated, routes cached.
 ///
 /// One engine serves one topology lineage: it keys its caches on
@@ -63,21 +85,15 @@ pub struct TrafficEngine {
     synced: Option<u64>,
     /// Datacenter of each server, indexed by server id.
     server_dc: Vec<DatacenterId>,
-    /// Alive servers of each datacenter, in `server_ids()` order —
-    /// the exact order the legacy pass visits them.
-    dc_alive: Vec<Vec<ServerId>>,
-    /// Per-(partition, datacenter) segment bounds into
-    /// [`cap_servers`](Self::cap_servers): `partition * n_dcs + dc`
-    /// and the next entry delimit that pair's capacity-bearing servers.
-    cap_offsets: Vec<u32>,
-    /// Alive servers holding non-zero capacity, grouped per
-    /// (partition, datacenter) in visit order. Skipping the rest up
-    /// front is behavior-neutral: the pass performs no arithmetic on a
-    /// zero-capacity server.
-    cap_servers: Vec<ServerId>,
-    /// [`PlacementView::version`] the capacity index above was built
-    /// for: while neither it nor the topology generation moves, the
-    /// index stays valid and each pass only reloads the indexed cells.
+    /// Position of each alive server in the visit order — datacenters
+    /// ascending, then each datacenter's `server_ids()` order — indexed
+    /// by server id; [`DEAD`] for failed servers.
+    server_rank: Vec<u32>,
+    /// Capacity index over the partitions of the last indexed pass.
+    index: CapIndex,
+    /// [`PlacementView::version`] the capacity index was built for on
+    /// the dense path: while neither it nor the topology generation
+    /// moves, the index stays valid and the pass skips the rebuild.
     view_version: Option<u64>,
     /// Per-shard working buffers; one shard on the serial path.
     shards: Vec<Shard>,
@@ -91,6 +107,62 @@ pub struct TrafficEngine {
     stats: EngineStats,
 }
 
+/// Which servers are worth visiting per `(position, datacenter)` pair,
+/// with the capacity each offers. Positions are partition ids on the
+/// dense path and indices into the active list on the sparse path.
+#[derive(Debug, Clone, Default)]
+struct CapIndex {
+    /// Segment bounds into [`cells`](Self::cells): entry
+    /// `position * n_dcs + dc` and the next one delimit that pair's
+    /// servers; a final sentinel closes the last segment.
+    offsets: Vec<u32>,
+    /// Alive servers holding positive capacity, with that capacity,
+    /// grouped per (position, datacenter) in visit order. Skipping the
+    /// rest up front is behavior-neutral: the pass performs no
+    /// arithmetic on a zero-capacity server.
+    cells: Vec<(ServerId, f64)>,
+}
+
+impl CapIndex {
+    fn clear(&mut self, positions: usize, n_dcs: usize) {
+        self.cells.clear();
+        self.offsets.clear();
+        self.offsets.reserve(positions * n_dcs + 1);
+    }
+
+    /// Append one partition's alive cells in visit order, one segment
+    /// per datacenter. Ranks are datacenter-major, so sorting by rank
+    /// also groups the cells by ascending datacenter.
+    fn push_partition(
+        &mut self,
+        cells: &[(ServerId, f64)],
+        rank: &[u32],
+        server_dc: &[DatacenterId],
+        n_dcs: usize,
+    ) {
+        let start = self.cells.len();
+        self.cells.extend(cells.iter().filter(|c| rank[c.0.index()] != DEAD));
+        self.cells[start..].sort_unstable_by_key(|c| rank[c.0.index()]);
+        let mut k = start;
+        for d in 0..n_dcs {
+            self.offsets.push(k as u32);
+            while k < self.cells.len() && server_dc[self.cells[k].0.index()].index() == d {
+                k += 1;
+            }
+        }
+    }
+
+    fn finish(&mut self) {
+        self.offsets.push(self.cells.len() as u32);
+    }
+
+    /// Whether the index covers `positions` positions of `n_dcs`
+    /// datacenters.
+    fn has_shape(&self, positions: usize, n_dcs: usize) -> bool {
+        self.offsets.len() == positions * n_dcs + 1
+    }
+}
+
 /// Shard-local working state for a contiguous partition range
 /// `[lo, hi)`. Everything a shard writes during the pass lands here;
 /// the global accounts are assembled afterwards by the canonical merge.
@@ -102,22 +174,20 @@ struct Shard {
     lo: usize,
     /// One past the last position.
     hi: usize,
-    /// Remaining per-server capacity scratch for the partition being
-    /// processed. Partitions are sequential within a shard and each one
-    /// loads its indexed cells before reading them, so one row serves
-    /// the whole shard; stale cells are never read.
+    /// Remaining capacity of the partition being processed, one entry
+    /// per indexed cell of that partition, in index order. Reloaded
+    /// from the index for every partition.
     remaining: Vec<f64>,
-    /// Per-(local partition, datacenter) arrival traffic. Partition-
-    /// major (transposed vs. the global grid) so each partition's
-    /// writes stay on one contiguous row.
+    /// Per-(local partition, datacenter) arrival traffic, laid out like
+    /// the global accounts so the merge copies whole rows.
     dc_traffic: Grid,
     /// Per-(local partition, datacenter) forwarding traffic.
     dc_outflow: Grid,
     /// Served events per local partition, in emission order: replayed
-    /// into the global served grid by the merge. All events for one
+    /// into the global served cells by the merge. All events for one
     /// `(server, partition)` cell occur within one partition's pass, so
     /// replay-in-order reproduces the cell bit for bit.
-    served: Vec<Vec<(u32, f64)>>,
+    served: Vec<Vec<(ServerId, f64)>>,
     /// Holder datacenter per local partition.
     holder_dc: Vec<DatacenterId>,
     /// Unserved residual per local partition. The partition's
@@ -153,11 +223,10 @@ impl Shard {
     /// Point this shard at `[lo, hi)` and (re)shape its buffers. Grid
     /// reshapes zero-fill; contents are otherwise left stale — the pass
     /// re-derives everything it reads.
-    fn layout(&mut self, lo: usize, hi: usize, n_dcs: usize, n_servers: usize) {
+    fn layout(&mut self, lo: usize, hi: usize, n_dcs: usize) {
         self.lo = lo;
         self.hi = hi;
         let span = hi - lo;
-        self.remaining.resize(n_servers, 0.0);
         if self.dc_traffic.rows() != span || self.dc_traffic.cols() != n_dcs {
             self.dc_traffic.reset(span, n_dcs);
             self.dc_outflow.reset(span, n_dcs);
@@ -177,8 +246,7 @@ impl Shard {
 struct PassCtx<'a> {
     routes: &'a RouteTable,
     server_dc: &'a [DatacenterId],
-    cap_offsets: &'a [u32],
-    cap_servers: &'a [ServerId],
+    index: &'a CapIndex,
     n_dcs: usize,
     load: &'a QueryLoad,
     view: &'a PlacementView,
@@ -243,9 +311,8 @@ impl TrafficEngine {
             routes: RouteTable::new(),
             synced: None,
             server_dc: Vec::new(),
-            dc_alive: Vec::new(),
-            cap_offsets: Vec::new(),
-            cap_servers: Vec::new(),
+            server_rank: Vec::new(),
+            index: CapIndex::default(),
             view_version: None,
             shards: Vec::new(),
             accounts: TrafficAccounts::empty(),
@@ -276,17 +343,15 @@ impl TrafficEngine {
         self.server_dc.clear();
         self.server_dc.extend(topo.servers().iter().map(|s| s.datacenter));
 
-        let n_dcs = topo.datacenters().len();
-        self.dc_alive.truncate(n_dcs);
-        while self.dc_alive.len() < n_dcs {
-            self.dc_alive.push(Vec::new());
-        }
-        for (d, alive) in self.dc_alive.iter_mut().enumerate() {
-            alive.clear();
+        self.server_rank.clear();
+        self.server_rank.resize(topo.server_count(), DEAD);
+        let mut rank = 0;
+        for d in 0..topo.datacenters().len() {
             let dc = topo.datacenter(DatacenterId::new(d as u32)).expect("dense dc ids");
             for server in dc.server_ids() {
                 if topo.servers()[server.index()].alive {
-                    alive.push(server);
+                    self.server_rank[server.index()] = rank;
+                    rank += 1;
                 }
             }
         }
@@ -345,62 +410,28 @@ impl TrafficEngine {
         // A dense pass rewrites every cell; the sparse partial-clear
         // bookkeeping no longer describes the accounts.
         self.sparse_prev = None;
-        let shape_ok = self.cap_offsets.len() == n_parts * n_dcs + 1;
-        if rebuilt || !shape_ok || self.view_version != Some(view.version()) {
+        if rebuilt
+            || !self.index.has_shape(n_parts, n_dcs)
+            || self.view_version != Some(view.version())
+        {
             self.stats.index_rebuilds += 1;
-            // Full sweep: index which servers are worth visiting — most
-            // (partition, datacenter) pairs hold no capacity at all, and
-            // the one-shot pass burns its time discovering that inside
-            // the hot loop. The shard passes load remaining capacity
-            // from this index each epoch.
-            self.cap_servers.clear();
-            self.cap_offsets.clear();
-            self.cap_offsets.reserve(n_parts * n_dcs + 1);
+            self.index.clear(n_parts, n_dcs);
             for p_idx in 0..n_parts {
-                let caps = view.partition_capacities(PartitionId::new(p_idx as u32));
-                for alive in &self.dc_alive {
-                    self.cap_offsets.push(self.cap_servers.len() as u32);
-                    for &server in alive {
-                        if caps[server.index()] > 0.0 {
-                            self.cap_servers.push(server);
-                        }
-                    }
-                }
+                self.index.push_partition(
+                    view.cells(PartitionId::new(p_idx as u32)),
+                    &self.server_rank,
+                    &self.server_dc,
+                    n_dcs,
+                );
             }
-            self.cap_offsets.push(self.cap_servers.len() as u32);
+            self.index.finish();
             self.view_version = Some(view.version());
         } else {
             self.stats.fast_restores += 1;
         }
 
-        // Lay the shards out over the partitions. The serial path is
-        // the one-shard case of the same code, which is what makes
-        // serial ≡ parallel structural rather than coincidental.
-        let n_shards = pool.map_or(1, WorkerPool::size).max(1);
-        self.shards.resize_with(n_shards, Shard::default);
-        for (k, shard) in self.shards.iter_mut().enumerate() {
-            let (lo, hi) = shard_bounds(n_parts, n_shards, k);
-            shard.layout(lo, hi, n_dcs, n_servers);
-        }
-
-        let ctx = PassCtx {
-            routes: &self.routes,
-            server_dc: &self.server_dc,
-            cap_offsets: &self.cap_offsets,
-            cap_servers: &self.cap_servers,
-            n_dcs,
-            load,
-            view,
-            parts: None,
-        };
-        run_shards(&mut self.shards, &ctx, pool);
-        merge_shards(&mut self.accounts, &self.shards, None, n_dcs);
-
-        // Cache per-server loads: the full row sum on the dense path.
-        for s in 0..n_servers {
-            self.accounts.server_loads[s] = self.accounts.served.row_sum(s);
-        }
-
+        self.run_pass(n_parts, n_dcs, load, view, None, pool);
+        self.accounts.fold_server_loads(0..n_parts);
         &self.accounts
     }
 
@@ -479,12 +510,8 @@ impl TrafficEngine {
         // Reset the accounts: O(prev) when the previous pass was sparse
         // at the same shape, full otherwise. Inactive cells stay zero
         // either way (the sparse invariant).
-        let shape_ok = self.accounts.dc_traffic.rows() == n_dcs
-            && self.accounts.dc_traffic.cols() == n_parts
-            && self.accounts.served.rows() == n_servers
-            && self.accounts.holder_dc.len() == n_parts;
         match self.sparse_prev.take() {
-            Some(mut prev) if shape_ok => {
+            Some(mut prev) if self.accounts.has_shape(n_dcs, n_parts, n_servers) => {
                 self.accounts.clear_sparse(&prev);
                 prev.clear();
                 prev.extend_from_slice(active);
@@ -499,59 +526,56 @@ impl TrafficEngine {
         }
 
         // Build the capacity index over the active list, keyed by
-        // *position* — the same per-partition build order as the dense
-        // index, restricted to the partitions this pass visits. The
-        // dense index cache is clobbered, so drop its validity stamp.
-        self.cap_servers.clear();
-        self.cap_offsets.clear();
-        self.cap_offsets.reserve(active.len() * n_dcs + 1);
+        // *position* — the same per-partition build as the dense index,
+        // restricted to the partitions this pass visits. The dense index
+        // cache is clobbered, so drop its validity stamp.
+        self.index.clear(active.len(), n_dcs);
         for &pu in active {
-            let caps = view.partition_capacities(PartitionId::new(pu));
-            for alive in &self.dc_alive {
-                self.cap_offsets.push(self.cap_servers.len() as u32);
-                for &server in alive {
-                    if caps[server.index()] > 0.0 {
-                        self.cap_servers.push(server);
-                    }
-                }
-            }
+            self.index.push_partition(
+                view.cells(PartitionId::new(pu)),
+                &self.server_rank,
+                &self.server_dc,
+                n_dcs,
+            );
         }
-        self.cap_offsets.push(self.cap_servers.len() as u32);
+        self.index.finish();
         self.view_version = None;
 
+        self.run_pass(active.len(), n_dcs, load, view, Some(active), pool);
+        self.accounts.fold_server_loads(active.iter().map(|&p| p as usize));
+        &self.accounts
+    }
+
+    /// Lay the shards out over `positions` positions, run them, and
+    /// merge them into the accounts. The serial path is the one-shard
+    /// case of the same code, which is what makes serial ≡ parallel
+    /// structural rather than coincidental.
+    fn run_pass(
+        &mut self,
+        positions: usize,
+        n_dcs: usize,
+        load: &QueryLoad,
+        view: &PlacementView,
+        parts: Option<&[u32]>,
+        pool: Option<&WorkerPool>,
+    ) {
         let n_shards = pool.map_or(1, WorkerPool::size).max(1);
         self.shards.resize_with(n_shards, Shard::default);
         for (k, shard) in self.shards.iter_mut().enumerate() {
-            let (lo, hi) = shard_bounds(active.len(), n_shards, k);
-            shard.layout(lo, hi, n_dcs, n_servers);
+            let (lo, hi) = shard_bounds(positions, n_shards, k);
+            shard.layout(lo, hi, n_dcs);
         }
-
         let ctx = PassCtx {
             routes: &self.routes,
             server_dc: &self.server_dc,
-            cap_offsets: &self.cap_offsets,
-            cap_servers: &self.cap_servers,
+            index: &self.index,
             n_dcs,
             load,
             view,
-            parts: Some(active),
+            parts,
         };
         run_shards(&mut self.shards, &ctx, pool);
-        merge_shards(&mut self.accounts, &self.shards, Some(active), n_dcs);
-
-        // Cache per-server loads by folding the active columns in
-        // ascending order — bit-identical to the dense full row sum,
-        // whose extra terms are all exact `+0.0`.
-        for s in 0..n_servers {
-            let row = self.accounts.served.row(s);
-            let mut sum = 0.0;
-            for &pu in active {
-                sum += row[pu as usize];
-            }
-            self.accounts.server_loads[s] = sum;
-        }
-
-        &self.accounts
+        merge_shards(&mut self.accounts, &self.shards, parts);
     }
 
     /// The accounts from the most recent pass (all-zero shapes before
@@ -594,7 +618,7 @@ fn run_shards(shards: &mut [Shard], ctx: &PassCtx<'_>, pool: Option<&WorkerPool>
 /// threads they finished. On the sparse path (`parts` given) positions
 /// map through the active list and `holder_dc` is written by index into
 /// the persistent map; the dense path rebuilds `holder_dc` by push.
-fn merge_shards(acc: &mut TrafficAccounts, shards: &[Shard], parts: Option<&[u32]>, n_dcs: usize) {
+fn merge_shards(acc: &mut TrafficAccounts, shards: &[Shard], parts: Option<&[u32]>) {
     for shard in shards {
         for (i, pos) in (shard.lo..shard.hi).enumerate() {
             let p_idx = match parts {
@@ -608,20 +632,13 @@ fn merge_shards(acc: &mut TrafficAccounts, shards: &[Shard], parts: Option<&[u32
                     pos
                 }
             };
-            let tr = shard.dc_traffic.row(i);
-            let of = shard.dc_outflow.row(i);
-            for d in 0..n_dcs {
-                // Zero means untouched (the pass only adds positive
-                // amounts), and the global cells were just reset.
-                if tr[d] != 0.0 {
-                    acc.dc_traffic.set(d, p_idx, tr[d]);
-                }
-                if of[d] != 0.0 {
-                    acc.dc_outflow.set(d, p_idx, of[d]);
-                }
-            }
+            // The global rows were just zeroed and the shard rows only
+            // accumulate positive residuals onto +0.0, so a whole-row
+            // copy writes exactly the cells the pass touched.
+            acc.dc_traffic.row_mut(p_idx).copy_from_slice(shard.dc_traffic.row(i));
+            acc.dc_outflow.row_mut(p_idx).copy_from_slice(shard.dc_outflow.row(i));
             for &(server, take) in &shard.served[i] {
-                acc.served.add(server as usize, p_idx, take);
+                acc.served.add(p_idx, server, take);
             }
             acc.unserved[p_idx] = shard.unserved[i];
             acc.hops_weighted += shard.hops_weighted[i];
@@ -655,6 +672,8 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard) {
         served_total,
     } = shard;
     let n_dcs = ctx.n_dcs;
+    let offsets = &ctx.index.offsets;
+    let cells = &ctx.index.cells;
 
     for (i, pos) in (*lo..*hi).enumerate() {
         let p_idx = match ctx.parts {
@@ -662,18 +681,13 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard) {
             None => pos,
         };
         let p = PartitionId::new(p_idx as u32);
-        let caps = ctx.view.partition_capacities(p);
-        let rem_row = remaining.as_mut_slice();
-        // Load remaining capacity for the indexed cells only; stale
-        // cells (including leftovers from this shard's previous
-        // partition) are never read because the absorption loop below
-        // visits indexed servers exclusively. The index is keyed by
-        // position: on the dense path position == partition id.
-        let seg_start = ctx.cap_offsets[pos * n_dcs] as usize;
-        let seg_end = ctx.cap_offsets[(pos + 1) * n_dcs] as usize;
-        for &server in &ctx.cap_servers[seg_start..seg_end] {
-            rem_row[server.index()] = caps[server.index()];
-        }
+        // Load remaining capacity for this partition's indexed cells.
+        // The index is keyed by position: on the dense path position ==
+        // partition id.
+        let base = pos * n_dcs;
+        let first = offsets[base] as usize;
+        remaining.clear();
+        remaining.extend(cells[first..offsets[base + n_dcs] as usize].iter().map(|c| c.1));
         let tr_row = dc_traffic.row_mut(i);
         let of_row = dc_outflow.row_mut(i);
         tr_row.fill(0.0);
@@ -712,20 +726,18 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard) {
                 // reaching it.
                 tr_row[dc.index()] += residual;
                 // Replicas in this datacenter absorb what they can:
-                // only the prefiltered capacity-bearing servers,
-                // in the same order the legacy pass visits them.
-                let seg = pos * n_dcs + dc.index();
-                let servers = &ctx.cap_servers
-                    [ctx.cap_offsets[seg] as usize..ctx.cap_offsets[seg + 1] as usize];
-                for &server in servers {
-                    let cap = &mut rem_row[server.index()];
+                // only the indexed capacity-bearing servers, in visit
+                // order.
+                let seg = base + dc.index();
+                for k in offsets[seg] as usize..offsets[seg + 1] as usize {
+                    let cap = &mut remaining[k - first];
                     if *cap <= 0.0 {
                         continue;
                     }
                     let take = cap.min(residual);
                     if take > 0.0 {
                         *cap -= take;
-                        served_i.push((server.0, take));
+                        served_i.push((cells[k].0, take));
                         hops_p += hop as f64 * take;
                         let rtt = 2.0 * lat_ms + INTRA_DC_LATENCY_MS;
                         latency_p += rtt * take;
@@ -1038,6 +1050,81 @@ mod tests {
         assert_sparse_matches_dense(&sparse, &dense_busy, &full);
         let sparse = engine.account_active(&topo, &quiet, &view, &[4]).clone();
         assert_sparse_matches_dense(&sparse, &dense_quiet, &[4]);
+    }
+
+    /// Datacenter A (one room, racks 0 and 1, one server each: s0, s1)
+    /// linked to datacenter B (s2), then a server joins A's rack 0. It
+    /// gets id 3, above B's s2, yet A visits it second: s0, s3, s1.
+    fn joined_rack() -> Topology {
+        let mut b = TopologyBuilder::new();
+        let a = b
+            .datacenter("A", Continent::NorthAmerica, "USA", "A1", GeoPoint::new(0.0, 0.0), 1, 2, 1)
+            .unwrap();
+        let m = b
+            .datacenter(
+                "B",
+                Continent::NorthAmerica,
+                "USA",
+                "B1",
+                GeoPoint::new(0.0, 10.0),
+                1,
+                1,
+                1,
+            )
+            .unwrap();
+        b.link(a, m, 10.0).unwrap();
+        let mut topo = b.build(0.0, 1).unwrap();
+        let joined =
+            topo.add_server(a, rfh_types::RoomId::new(0), rfh_types::RackId::new(0), 1.0).unwrap();
+        assert_eq!(joined, ServerId::new(3));
+        topo
+    }
+
+    /// An oracle written out by hand, not derived from any engine path:
+    /// in A the joined s3 absorbs before the lower-id s1, because A's
+    /// visit order is its racks' order, not server-id order. Each holds
+    /// less capacity than the residual arriving at A, so the split shows
+    /// the order: ascending ids would give s1 its full capacity instead.
+    #[test]
+    fn joined_server_absorbs_in_rack_order_not_id_order() {
+        let topo = joined_rack();
+        let (s1, s2, s3) = (ServerId::new(1), ServerId::new(2), ServerId::new(3));
+        let (p0, p1) = (PartitionId::new(0), PartitionId::new(1));
+        let (a, b) = (DatacenterId::new(0), DatacenterId::new(1));
+        // Both partitions are held in B and queried only from A.
+        let mut view = PlacementView::new(2, 4, vec![s2, s2]);
+        view.add_capacity(p0, s2, 100.0);
+        view.add_capacity(p0, s1, 7.0);
+        view.add_capacity(p0, s3, 6.0);
+        view.add_capacity(p1, s2, 100.0);
+        view.add_capacity(p1, s1, 3.0);
+        view.add_capacity(p1, s3, 2.0);
+        let mut load = QueryLoad::zeros(2, 2);
+        load.add(p0, a, 10);
+        load.add(p1, a, 4);
+
+        let check = |acc: &TrafficAccounts, how: &str| {
+            // p0: s3 takes 6 of 10, s1 the remaining 4, nothing reaches B.
+            assert_eq!(acc.served_cells(p0), &[(s1, 4.0), (s3, 6.0)], "{how}: p0 split");
+            assert_eq!(acc.served(p0, s2), 0.0, "{how}");
+            assert_eq!(acc.dc_traffic(p0, a), 10.0, "{how}");
+            assert_eq!(acc.dc_traffic(p0, b), 0.0, "{how}");
+            // p1: s3 takes 2 of 4, s1 the remaining 2.
+            assert_eq!(acc.served_cells(p1), &[(s1, 2.0), (s3, 2.0)], "{how}: p1 split");
+            assert_eq!(acc.server_load(s1), 6.0, "{how}");
+            assert_eq!(acc.server_load(s3), 8.0, "{how}");
+            assert_eq!(acc.server_load(s2), 0.0, "{how}");
+            assert_eq!(acc.served_total(), 14.0, "{how}");
+            assert_eq!(acc.mean_path_length(), 0.0, "{how}");
+        };
+        let pool = WorkerPool::new(2);
+        check(TrafficEngine::new().account(&topo, &load, &view), "account");
+        check(TrafficEngine::new().account_active(&topo, &load, &view, &[0, 1]), "account_active");
+        check(TrafficEngine::new().account_sharded(&topo, &load, &view, &pool), "account_sharded");
+        check(
+            TrafficEngine::new().account_active_sharded(&topo, &load, &view, &[0, 1], &pool),
+            "account_active_sharded",
+        );
     }
 
     #[test]

@@ -1,10 +1,18 @@
-//! Dense 2-D arrays.
+//! Dense and sparse 2-D arrays.
 //!
-//! The traffic pass is the simulator's hot loop; all its state is dense
-//! `rows × cols` matrices over small index spaces (datacenters ×
-//! partitions, servers × partitions), stored flat for cache-friendly
-//! scans — per the HPC guidance of preferring flat arrays over maps on
-//! hot paths.
+//! The traffic pass is the simulator's hot loop. Its per-partition
+//! state has two shapes:
+//!
+//! * [`Grid`] — a dense, flat `rows × cols` matrix for axes that are
+//!   small and fully populated (partitions × datacenters, stored
+//!   partition-major so one partition's cells sit on one row);
+//! * [`CellRows`] — one short row of `(server, value)` cells per
+//!   partition, ascending by server id, for the server axis. A
+//!   partition has a handful of replica servers out of the cluster's
+//!   hundred, so a dense partitions × servers matrix would be almost all
+//!   zeros and every per-partition walk would cost O(servers).
+
+use rfh_types::ServerId;
 
 /// A dense row-major 2-D array of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,20 +55,6 @@ impl Grid {
         self.data[self.idx(r, c)]
     }
 
-    /// Write one cell.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
-        let i = self.idx(r, c);
-        self.data[i] = v;
-    }
-
-    /// Add to one cell.
-    #[inline]
-    pub fn add(&mut self, r: usize, c: usize, v: f64) {
-        let i = self.idx(r, c);
-        self.data[i] += v;
-    }
-
     /// One row as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {
@@ -68,24 +62,11 @@ impl Grid {
         &self.data[start..start + self.cols]
     }
 
-    /// Sum of one row.
-    pub fn row_sum(&self, r: usize) -> f64 {
-        self.row(r).iter().sum()
-    }
-
-    /// Sum of one column.
-    pub fn col_sum(&self, c: usize) -> f64 {
-        (0..self.rows).map(|r| self.get(r, c)).sum()
-    }
-
-    /// Sum of every cell.
-    pub fn total(&self) -> f64 {
-        self.data.iter().sum()
-    }
-
-    /// Reset every cell to zero, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.data.fill(0.0);
+    /// One row as a mutable slice.
+    #[inline]
+    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        let start = r * self.cols;
+        &mut self.data[start..start + self.cols]
     }
 
     /// Reshape to `rows × cols` and zero every cell, reusing the
@@ -96,12 +77,74 @@ impl Grid {
         self.data.clear();
         self.data.resize(rows * cols, 0.0);
     }
+}
 
-    /// One row as a mutable slice.
+/// Sparse rows over the server axis: for each row (a partition), the
+/// servers with a non-zero value and that value, ascending by server id.
+/// A server without a cell reads as 0.0.
+///
+/// Emptied rows keep their allocation, so a reused `CellRows` stops
+/// allocating once every row has reached its working size.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct CellRows {
+    rows: Vec<Vec<(ServerId, f64)>>,
+}
+
+impl CellRows {
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// One row's cells, ascending by server id.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        let start = r * self.cols;
-        &mut self.data[start..start + self.cols]
+    pub fn row(&self, r: usize) -> &[(ServerId, f64)] {
+        &self.rows[r]
+    }
+
+    /// The value at `(r, s)`; 0.0 without a cell.
+    #[inline]
+    pub fn get(&self, r: usize, s: ServerId) -> f64 {
+        self.rows[r].iter().find(|c| c.0 == s).map_or(0.0, |c| c.1)
+    }
+
+    /// Add `v` to the cell `(r, s)`, creating it in server order if it
+    /// does not exist. Returns whether a cell was created. Callers only
+    /// add positive values, so every cell stays positive.
+    #[inline]
+    pub fn add(&mut self, r: usize, s: ServerId, v: f64) -> bool {
+        let row = &mut self.rows[r];
+        match row.iter().position(|c| c.0 >= s) {
+            Some(i) if row[i].0 == s => {
+                row[i].1 += v;
+                false
+            }
+            Some(i) => {
+                row.insert(i, (s, v));
+                true
+            }
+            None => {
+                row.push((s, v));
+                true
+            }
+        }
+    }
+
+    /// Remove every cell of one row, returning how many there were.
+    #[inline]
+    pub fn clear_row(&mut self, r: usize) -> usize {
+        let n = self.rows[r].len();
+        self.rows[r].clear();
+        n
+    }
+
+    /// Reshape to `rows` empty rows, reusing row allocations.
+    pub fn reset(&mut self, rows: usize) {
+        self.rows.truncate(rows);
+        for row in &mut self.rows {
+            row.clear();
+        }
+        self.rows.resize_with(rows, Vec::new);
     }
 }
 
@@ -114,54 +157,20 @@ mod tests {
         let g = Grid::zeros(3, 4);
         assert_eq!(g.rows(), 3);
         assert_eq!(g.cols(), 4);
-        assert_eq!(g.total(), 0.0);
         assert_eq!(g.get(2, 3), 0.0);
-    }
-
-    #[test]
-    fn set_add_get() {
-        let mut g = Grid::zeros(2, 2);
-        g.set(0, 1, 5.0);
-        g.add(0, 1, 2.5);
-        g.add(1, 0, 1.0);
-        assert_eq!(g.get(0, 1), 7.5);
-        assert_eq!(g.get(1, 0), 1.0);
-        assert_eq!(g.total(), 8.5);
-    }
-
-    #[test]
-    fn row_and_column_sums() {
-        let mut g = Grid::zeros(2, 3);
-        g.set(0, 0, 1.0);
-        g.set(0, 2, 2.0);
-        g.set(1, 2, 4.0);
-        assert_eq!(g.row(0), &[1.0, 0.0, 2.0]);
-        assert_eq!(g.row_sum(0), 3.0);
-        assert_eq!(g.row_sum(1), 4.0);
-        assert_eq!(g.col_sum(2), 6.0);
-        assert_eq!(g.col_sum(1), 0.0);
-    }
-
-    #[test]
-    fn clear_keeps_shape() {
-        let mut g = Grid::zeros(2, 2);
-        g.set(1, 1, 9.0);
-        g.clear();
-        assert_eq!(g.total(), 0.0);
-        assert_eq!(g.rows(), 2);
     }
 
     #[test]
     fn reset_reshapes_and_zeroes() {
         let mut g = Grid::zeros(2, 2);
-        g.set(1, 1, 9.0);
+        g.row_mut(1)[1] = 9.0;
         g.reset(3, 4);
         assert_eq!((g.rows(), g.cols()), (3, 4));
-        assert_eq!(g.total(), 0.0);
-        g.set(2, 3, 1.0);
+        assert!(g.row(2).iter().all(|&v| v == 0.0));
+        g.row_mut(2)[3] = 1.0;
         g.reset(2, 2);
         assert_eq!((g.rows(), g.cols()), (2, 2));
-        assert_eq!(g.total(), 0.0);
+        assert_eq!(g.row(1), &[0.0, 0.0]);
     }
 
     #[test]
@@ -169,6 +178,7 @@ mod tests {
         let mut g = Grid::zeros(2, 3);
         g.row_mut(1).copy_from_slice(&[1.0, 2.0, 3.0]);
         assert_eq!(g.row(1), &[1.0, 2.0, 3.0]);
+        assert_eq!(g.get(1, 2), 3.0);
         assert_eq!(g.row(0), &[0.0, 0.0, 0.0]);
     }
 
@@ -178,5 +188,41 @@ mod tests {
     fn out_of_bounds_panics_in_debug() {
         let g = Grid::zeros(2, 2);
         let _ = g.get(2, 0);
+    }
+
+    fn s(i: u32) -> ServerId {
+        ServerId::new(i)
+    }
+
+    #[test]
+    fn cells_stay_in_server_order_and_accumulate() {
+        let mut c = CellRows::default();
+        c.reset(2);
+        assert!(c.add(0, s(7), 1.0));
+        assert!(c.add(0, s(2), 2.0));
+        assert!(c.add(0, s(9), 3.0));
+        assert!(c.add(0, s(5), 4.0));
+        assert!(!c.add(0, s(2), 0.5), "an existing cell accumulates");
+        assert_eq!(c.row(0), &[(s(2), 2.5), (s(5), 4.0), (s(7), 1.0), (s(9), 3.0)]);
+        assert_eq!(c.get(0, s(5)), 4.0);
+        assert_eq!(c.get(0, s(6)), 0.0, "no cell reads as zero");
+        assert!(c.row(1).is_empty(), "rows are independent");
+    }
+
+    #[test]
+    fn clear_row_and_reset_empty_the_rows() {
+        let mut c = CellRows::default();
+        c.reset(3);
+        c.add(0, s(1), 1.0);
+        c.add(0, s(3), 1.0);
+        c.add(2, s(0), 1.0);
+        assert_eq!(c.clear_row(0), 2);
+        assert!(c.row(0).is_empty());
+        c.reset(2);
+        assert_eq!(c.rows(), 2);
+        assert!(c.row(0).is_empty() && c.row(1).is_empty());
+        c.reset(4);
+        assert_eq!(c.rows(), 4);
+        assert!(c.row(3).is_empty());
     }
 }

@@ -13,7 +13,8 @@
 //! randomly-placed replicas achieve poor utilization and why placing
 //! replicas at high-traffic path conjunctions ("traffic hubs") works.
 //!
-//! * [`grid`] — dense 2-D arrays used by the accounting pass.
+//! * [`grid`] — the dense (partition × datacenter) and sparse
+//!   (partition → server cells) arrays the accounting pass stores.
 //! * [`placement`] — the per-epoch view of where replicas are and how
 //!   much capacity each offers.
 //! * [`absorption`] — the traffic pass semantics and the one-shot

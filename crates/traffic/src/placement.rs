@@ -1,13 +1,19 @@
 //! The per-epoch placement view the traffic pass reads.
 //!
 //! The replica manager (in `rfh-core`) owns the authoritative replica
-//! map; each epoch it renders this flattened view: for every
-//! `(partition, server)` pair, the total query-processing capacity the
-//! replicas of that partition on that server offer this epoch
-//! (`Σ_l C_ikl` in the paper's notation, zero when the server hosts no
-//! replica of the partition), plus each partition's primary holder.
+//! map; each epoch it renders this flattened view: for every partition,
+//! the servers hosting its replicas and the total query-processing
+//! capacity those replicas offer there this epoch (`Σ_l C_ikl` in the
+//! paper's notation), plus each partition's primary holder.
+//!
+//! The server axis is sparse. A partition keeps one short list of
+//! `(server, capacity)` cells, ascending by server id, holding exactly
+//! the servers with positive capacity; every other server reads as
+//! zero. A partition has a handful of replicas out of the cluster's
+//! hundred servers, so the view costs O(replicas), not
+//! O(partitions × servers), to store, render and walk.
 
-use crate::grid::Grid;
+use crate::grid::CellRows;
 use rfh_types::{PartitionId, ServerId};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -23,14 +29,17 @@ fn next_version() -> u64 {
 /// Flattened placement + capacity view for one epoch.
 #[derive(Debug, Clone)]
 pub struct PlacementView {
-    /// `capacity[partition][server]` = Σ over replicas of per-replica
-    /// capacity, queries/epoch.
-    capacity: Grid,
+    /// Per partition: `(server, Σ over replicas of per-replica
+    /// capacity)` for every server with positive capacity, ascending by
+    /// server id. Queries/epoch.
+    capacity: CellRows,
+    /// Size of the server axis.
+    servers: u32,
     /// Primary holder server of each partition.
     holders: Vec<ServerId>,
     /// Number of `(partition, server)` cells with positive capacity,
-    /// maintained on every mutation so sparse consumers can learn the
-    /// replica-cell population without an O(partitions × servers) scan.
+    /// maintained on every mutation so sparse consumers learn the
+    /// replica-cell population in O(1).
     nonzero: usize,
     /// Content stamp, see [`version`](Self::version).
     version: u64,
@@ -39,7 +48,9 @@ pub struct PlacementView {
 impl PartialEq for PlacementView {
     /// Content equality: the version stamp is bookkeeping, not state.
     fn eq(&self, other: &Self) -> bool {
-        self.capacity == other.capacity && self.holders == other.holders
+        self.servers == other.servers
+            && self.capacity == other.capacity
+            && self.holders == other.holders
     }
 }
 
@@ -48,12 +59,9 @@ impl PlacementView {
     /// partition before use.
     pub fn new(partitions: u32, servers: u32, holders: Vec<ServerId>) -> Self {
         assert_eq!(holders.len(), partitions as usize, "one holder per partition required");
-        PlacementView {
-            capacity: Grid::zeros(partitions as usize, servers as usize),
-            holders,
-            nonzero: 0,
-            version: next_version(),
-        }
+        let mut capacity = CellRows::default();
+        capacity.reset(partitions as usize);
+        PlacementView { capacity, servers, holders, nonzero: 0, version: next_version() }
     }
 
     /// Content stamp. Every mutation moves it to a globally fresh
@@ -72,7 +80,7 @@ impl PlacementView {
 
     /// Number of servers.
     pub fn servers(&self) -> u32 {
-        self.capacity.cols() as u32
+        self.servers
     }
 
     /// Primary holder of a partition.
@@ -84,36 +92,43 @@ impl PlacementView {
     /// Capacity of partition `p` replicas on server `s`.
     #[inline]
     pub fn capacity(&self, p: PartitionId, s: ServerId) -> f64 {
-        self.capacity.get(p.index(), s.index())
+        self.capacity.get(p.index(), s)
+    }
+
+    /// The servers holding capacity for `p` and their capacity,
+    /// ascending by server id. Every listed capacity is positive.
+    #[inline]
+    pub fn cells(&self, p: PartitionId) -> &[(ServerId, f64)] {
+        self.capacity.row(p.index())
     }
 
     /// Add replica capacity for `(p, s)`.
     pub fn add_capacity(&mut self, p: PartitionId, s: ServerId, queries_per_epoch: f64) {
         debug_assert!(queries_per_epoch >= 0.0);
-        if queries_per_epoch > 0.0 && self.capacity.get(p.index(), s.index()) == 0.0 {
+        debug_assert!(
+            s.0 < self.servers,
+            "server {s:?} outside the view's {} servers",
+            self.servers
+        );
+        // A zero add changes no capacity, so it creates no cell.
+        if queries_per_epoch > 0.0 && self.capacity.add(p.index(), s, queries_per_epoch) {
             self.nonzero += 1;
         }
-        self.capacity.add(p.index(), s.index(), queries_per_epoch);
         self.version = next_version();
-    }
-
-    /// Per-server capacities for one partition.
-    #[inline]
-    pub fn partition_capacities(&self, p: PartitionId) -> &[f64] {
-        self.capacity.row(p.index())
     }
 
     /// Total capacity provisioned for a partition across the cluster.
     pub fn partition_capacity_total(&self, p: PartitionId) -> f64 {
-        self.capacity.row_sum(p.index())
+        self.cells(p).iter().fold(0.0, |sum, &(_, c)| sum + c)
     }
 
-    /// Reshape in place to `partitions × servers`, zeroing all capacity
+    /// Reshape in place to `partitions × servers`, dropping all capacity
     /// and resetting every holder to server 0 (callers re-set holders
-    /// before use). Reuses both backing allocations — this is the
+    /// before use). Reuses the backing allocations — this is the
     /// "rebuild" half of delta maintenance when the cluster shape moved.
     pub fn reset(&mut self, partitions: u32, servers: u32) {
-        self.capacity.reset(partitions as usize, servers as usize);
+        self.capacity.reset(partitions as usize);
+        self.servers = servers;
         self.holders.clear();
         self.holders.resize(partitions as usize, ServerId::new(0));
         self.nonzero = 0;
@@ -126,31 +141,19 @@ impl PlacementView {
         self.version = next_version();
     }
 
-    /// Zero one partition's capacity row (delta update: callers then
+    /// Drop one partition's capacity cells (delta update: callers then
     /// re-add the partition's current replica capacities).
     pub fn clear_partition(&mut self, p: PartitionId) {
-        let row = self.capacity.row_mut(p.index());
-        self.nonzero -= row.iter().filter(|&&c| c > 0.0).count();
-        row.fill(0.0);
+        self.nonzero -= self.capacity.clear_row(p.index());
         self.version = next_version();
     }
 
     /// Number of `(partition, server)` cells holding positive capacity —
-    /// exactly the cells [`replica_servers`](Self::replica_servers)
-    /// would yield over all partitions, in O(1).
+    /// the total length of every partition's [`cells`](Self::cells), in
+    /// O(1).
     #[inline]
     pub fn nonzero_cells(&self) -> usize {
         self.nonzero
-    }
-
-    /// Servers hosting any replica of `p` (capacity > 0), ascending id.
-    pub fn replica_servers(&self, p: PartitionId) -> impl Iterator<Item = ServerId> + '_ {
-        self.capacity
-            .row(p.index())
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0.0)
-            .map(|(s, _)| ServerId::new(s as u32))
     }
 }
 
@@ -173,7 +176,7 @@ mod tests {
         assert_eq!(v.holder(p(1)), s(2));
         assert_eq!(v.capacity(p(0), s(0)), 0.0);
         assert_eq!(v.partition_capacity_total(p(0)), 0.0);
-        assert_eq!(v.replica_servers(p(0)).count(), 0);
+        assert!(v.cells(p(0)).is_empty());
     }
 
     #[test]
@@ -184,9 +187,7 @@ mod tests {
         v.add_capacity(p(0), s(2), 20.0);
         assert_eq!(v.capacity(p(0), s(1)), 15.0);
         assert_eq!(v.partition_capacity_total(p(0)), 35.0);
-        assert_eq!(v.partition_capacities(p(0)), &[0.0, 15.0, 20.0]);
-        let hosts: Vec<u32> = v.replica_servers(p(0)).map(u32::from).collect();
-        assert_eq!(hosts, vec![1, 2]);
+        assert_eq!(v.cells(p(0)), &[(s(1), 15.0), (s(2), 20.0)]);
         assert_eq!(v.partition_capacity_total(p(1)), 0.0, "partitions are independent");
     }
 
@@ -226,9 +227,8 @@ mod tests {
     #[test]
     fn nonzero_cells_tracks_every_mutation() {
         let mut v = PlacementView::new(3, 4, vec![s(0), s(1), s(2)]);
-        let recount = |v: &PlacementView| {
-            (0..v.partitions()).map(|pi| v.replica_servers(p(pi)).count()).sum::<usize>()
-        };
+        let recount =
+            |v: &PlacementView| (0..v.partitions()).map(|pi| v.cells(p(pi)).len()).sum::<usize>();
         assert_eq!(v.nonzero_cells(), 0);
         v.add_capacity(p(0), s(1), 10.0);
         v.add_capacity(p(0), s(1), 5.0); // same cell: no new entry

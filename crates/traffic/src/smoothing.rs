@@ -9,8 +9,10 @@
 //! ```
 //!
 //! One smoother instance holds the per-partition smoothed system query
-//! average and the per-(datacenter, partition) smoothed traffic the
-//! decision thresholds (eqs. 12, 13, 15) compare against.
+//! average and the per-(partition, datacenter) smoothed traffic the
+//! decision thresholds (eqs. 12, 13, 15) compare against. The traffic
+//! state is partition-major like the accounts it folds, so a sparse
+//! update touches one contiguous run of cells per active partition.
 
 use crate::absorption::TrafficAccounts;
 use rfh_types::{DatacenterId, PartitionId};
@@ -24,7 +26,7 @@ pub struct TrafficSmoother {
     dcs: usize,
     /// Smoothed `q̄_it` per partition; NaN marks "no observation yet".
     q_avg: Vec<f64>,
-    /// Smoothed `t̄r_ikt`, `[dc][partition]` flattened; NaN marks unset.
+    /// Smoothed `t̄r_ikt`, `[partition][dc]` flattened; NaN marks unset.
     traffic: Vec<f64>,
     /// Smoothed forwarding traffic (outflow), same layout.
     outflow: Vec<f64>,
@@ -75,13 +77,13 @@ impl TrafficSmoother {
             let obs = load.system_average(PartitionId::new(p as u32));
             self.q_avg[p] = Self::smooth(self.alpha, self.q_avg[p], obs);
         }
-        for dc in 0..self.dcs {
-            for p in 0..self.partitions {
-                let i = dc * self.partitions + p;
-                let obs = accounts.dc_traffic.get(dc, p);
-                self.traffic[i] = Self::smooth(self.alpha, self.traffic[i], obs);
-                let out = accounts.dc_outflow.get(dc, p);
-                self.outflow[i] = Self::smooth(self.alpha, self.outflow[i], out);
+        for p in 0..self.partitions {
+            let tr = accounts.dc_traffic.row(p);
+            let of = accounts.dc_outflow.row(p);
+            for dc in 0..self.dcs {
+                let i = p * self.dcs + dc;
+                self.traffic[i] = Self::smooth(self.alpha, self.traffic[i], tr[dc]);
+                self.outflow[i] = Self::smooth(self.alpha, self.outflow[i], of[dc]);
             }
         }
     }
@@ -124,18 +126,18 @@ impl TrafficSmoother {
             Self::fold_gap(alpha, &mut self.q_avg[p], gap);
             self.q_avg[p] = Self::smooth(alpha, self.q_avg[p], obs);
 
+            let tr = accounts.dc_traffic.row(p);
+            let of = accounts.dc_outflow.row(p);
             for dc in 0..self.dcs {
                 // A reset_dc wipes the cell to NaN; zeros that the dense
                 // pass applied *before* the reset are irrelevant, so the
                 // fold only covers epochs after the later of the two.
                 let dc_gap = (self.pass - 1).saturating_sub(stamp.max(self.dc_reset_pass[dc]));
-                let i = dc * self.partitions + p;
-                let obs = accounts.dc_traffic.get(dc, p);
+                let i = p * self.dcs + dc;
                 Self::fold_gap(alpha, &mut self.traffic[i], dc_gap);
-                self.traffic[i] = Self::smooth(alpha, self.traffic[i], obs);
-                let out = accounts.dc_outflow.get(dc, p);
+                self.traffic[i] = Self::smooth(alpha, self.traffic[i], tr[dc]);
                 Self::fold_gap(alpha, &mut self.outflow[i], dc_gap);
-                self.outflow[i] = Self::smooth(alpha, self.outflow[i], out);
+                self.outflow[i] = Self::smooth(alpha, self.outflow[i], of[dc]);
             }
         }
     }
@@ -165,7 +167,7 @@ impl TrafficSmoother {
     /// Smoothed traffic `t̄r_ikt` of a datacenter for a partition
     /// (eq. 11); zero before any update.
     pub fn traffic(&self, dc: DatacenterId, p: PartitionId) -> f64 {
-        let v = self.traffic[dc.index() * self.partitions + p.index()];
+        let v = self.traffic[p.index() * self.dcs + dc.index()];
         if v.is_nan() {
             0.0
         } else {
@@ -178,7 +180,7 @@ impl TrafficSmoother {
     /// "most forwarding traffic" quantity RFH ranks hubs by (§I); zero
     /// before any update.
     pub fn outflow(&self, dc: DatacenterId, p: PartitionId) -> f64 {
-        let v = self.outflow[dc.index() * self.partitions + p.index()];
+        let v = self.outflow[p.index() * self.dcs + dc.index()];
         if v.is_nan() {
             0.0
         } else {
@@ -201,8 +203,8 @@ impl TrafficSmoother {
     /// recovery).
     pub fn reset_dc(&mut self, dc: DatacenterId) {
         for p in 0..self.partitions {
-            self.traffic[dc.index() * self.partitions + p] = f64::NAN;
-            self.outflow[dc.index() * self.partitions + p] = f64::NAN;
+            self.traffic[p * self.dcs + dc.index()] = f64::NAN;
+            self.outflow[p * self.dcs + dc.index()] = f64::NAN;
         }
         self.dc_reset_pass[dc.index()] = self.pass;
     }
@@ -211,7 +213,7 @@ impl TrafficSmoother {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::Grid;
+    use crate::grid::{CellRows, Grid};
 
     fn p(i: u32) -> PartitionId {
         PartitionId::new(i)
@@ -222,14 +224,16 @@ mod tests {
 
     /// Build a TrafficAccounts with chosen dc_traffic values.
     fn accounts(dcs: usize, parts: usize, cells: &[(usize, usize, f64)]) -> TrafficAccounts {
-        let mut dc_traffic = Grid::zeros(dcs, parts);
+        let mut dc_traffic = Grid::zeros(parts, dcs);
         for &(dc, pp, v) in cells {
-            dc_traffic.set(dc, pp, v);
+            dc_traffic.row_mut(pp)[dc] = v;
         }
+        let mut served = CellRows::default();
+        served.reset(parts);
         TrafficAccounts {
             dc_traffic,
-            dc_outflow: Grid::zeros(dcs, parts),
-            served: Grid::zeros(1, parts),
+            dc_outflow: Grid::zeros(parts, dcs),
+            served,
             unserved: vec![0.0; parts],
             holder_dc: vec![DatacenterId::new(0); parts],
             server_loads: vec![0.0; 1],

@@ -353,14 +353,10 @@ impl ReplicaManager {
     ) -> Result<AppliedAction> {
         let outcome = self.apply(topo, action);
         if recorder.enabled() {
-            let partition = match action {
-                Action::Replicate { partition, .. }
-                | Action::Migrate { partition, .. }
-                | Action::Suicide { partition, .. } => partition,
-            };
+            let partition = action.partition().0;
             match &outcome {
-                Ok(applied) => recorder.outcome(policy, partition.0, true, applied.cost),
-                Err(_) => recorder.outcome(policy, partition.0, false, 0.0),
+                Ok(applied) => recorder.outcome(policy, partition, true, applied.cost),
+                Err(_) => recorder.outcome(policy, partition, false, 0.0),
             }
         }
         outcome

@@ -977,11 +977,6 @@ impl RfhPolicy {
         self
     }
 
-    /// Set the placement variant in place.
-    pub fn set_placement(&mut self, placement: PlacementMode) {
-        self.placement = placement;
-    }
-
     /// The trace/report label for the current placement variant.
     fn label(&self) -> &'static str {
         match self.placement {
@@ -996,11 +991,6 @@ impl RfhPolicy {
     pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.pool = Some(pool);
         self
-    }
-
-    /// Attach (or detach) the decision-pass worker pool in place.
-    pub fn set_pool(&mut self, pool: Option<Arc<WorkerPool>>) {
-        self.pool = pool;
     }
 
     /// Disable (or re-enable) the blocking-probability server choice —

@@ -39,6 +39,7 @@
 //! plans stay readable by standard tooling. This module owns the
 //! schema: which tables and keys exist and what their domains are.
 
+use rfh_topology::Topology;
 use rfh_types::toml::{self, BlockKind, TomlBlock, TomlValue};
 use rfh_types::{DatacenterId, RackId, Result, RfhError, RoomId, ServerId};
 
@@ -158,6 +159,53 @@ impl FaultPlan {
     /// action.
     pub fn from_toml_str(text: &str) -> Result<FaultPlan> {
         parse(text)
+    }
+
+    /// Check that every server, datacenter, room, rack and WAN link the
+    /// plan names exists in `topo`. The injector applies a plan action
+    /// by action, so a plan that fails this check would leave the
+    /// topology half-faulted when it reaches the bad action; hosts that
+    /// cannot stop mid-run call this before the first epoch.
+    ///
+    /// # Errors
+    /// [`RfhError::InvalidConfig`] naming the first missing entity.
+    pub fn check_topology(&self, topo: &Topology) -> Result<()> {
+        let dc = |d: DatacenterId| topo.datacenter(d).map(drop);
+        let link = |a: DatacenterId, b: DatacenterId| {
+            let links = topo.graph().links();
+            if links.iter().any(|&(x, y, ..)| (x, y) == (a, b) || (y, x) == (a, b)) {
+                Ok(())
+            } else {
+                Err(RfhError::Topology(format!("no such link {a}-{b}")))
+            }
+        };
+        for s in &self.scheduled {
+            let found = match &s.action {
+                FaultAction::FailDatacenter(d) | FaultAction::RecoverDatacenter(d) => dc(*d),
+                FaultAction::FailRoom(d, room) | FaultAction::RecoverRoom(d, room) => {
+                    topo.domain_servers(*d, Some(*room), None).map(drop)
+                }
+                FaultAction::FailRack(d, room, rack) | FaultAction::RecoverRack(d, room, rack) => {
+                    topo.domain_servers(*d, Some(*room), Some(*rack)).map(drop)
+                }
+                FaultAction::FailServers(ids) | FaultAction::RecoverServers(ids) => {
+                    ids.iter().try_for_each(|&id| topo.server(id).map(drop))
+                }
+                FaultAction::LinkDown(a, b)
+                | FaultAction::LinkUp(a, b)
+                | FaultAction::LinkLatency(a, b, _) => link(*a, *b),
+                FaultAction::Partition(island) => island.iter().try_for_each(|&d| dc(d)),
+                FaultAction::FailRandom(_)
+                | FaultAction::HealPartition
+                | FaultAction::MessageLoss(_)
+                | FaultAction::Bandwidth(..) => Ok(()),
+            };
+            found.map_err(|e| RfhError::InvalidConfig {
+                parameter: "faults",
+                reason: format!("epoch {}: {e}", s.epoch),
+            })?;
+        }
+        Ok(())
     }
 }
 
@@ -524,5 +572,83 @@ mod tests {
             .at(2, FaultAction::MessageLoss(0.1));
         assert!(!p.is_empty());
         assert_eq!(p.scheduled.len(), 2);
+    }
+
+    /// A(0)-B(1)-C(2) in a line (no A-C link); one room of one rack of
+    /// two servers per datacenter, so servers 0..6.
+    fn line_topology() -> Topology {
+        use rfh_topology::TopologyBuilder;
+        use rfh_types::{Continent, GeoPoint};
+        let mut b = TopologyBuilder::new();
+        let mut dcs = Vec::new();
+        for (name, lat) in [("A", 0.0), ("B", 20.0), ("C", 40.0)] {
+            let geo = GeoPoint::new(lat, 0.0);
+            dcs.push(b.datacenter(name, Continent::Europe, "DEU", name, geo, 1, 1, 2).unwrap());
+        }
+        b.link(dcs[0], dcs[1], 10.0).unwrap();
+        b.link(dcs[1], dcs[2], 10.0).unwrap();
+        b.build(0.0, 1).unwrap()
+    }
+
+    /// `Ok` for `good`, an `InvalidConfig` naming the epoch for `bad`.
+    fn check(good: FaultAction, bad: FaultAction) {
+        let topo = line_topology();
+        let ok = FaultPlan::default().at(1, good.clone());
+        assert!(ok.check_topology(&topo).is_ok(), "{good:?} names only known entities");
+        let plan = FaultPlan::default().at(1, good).at(2, bad.clone());
+        match plan.check_topology(&topo) {
+            Err(RfhError::InvalidConfig { parameter: "faults", reason }) => {
+                assert!(reason.starts_with("epoch 2:"), "{reason}")
+            }
+            other => panic!("{bad:?} must be rejected, got {other:?}"),
+        }
+    }
+
+    fn dc(i: u32) -> DatacenterId {
+        DatacenterId::new(i)
+    }
+
+    #[test]
+    fn check_topology_rejects_unknown_servers() {
+        let ids = |v: &[u32]| v.iter().map(|&i| ServerId::new(i)).collect::<Vec<_>>();
+        check(FaultAction::FailServers(ids(&[5])), FaultAction::FailServers(ids(&[5, 99])));
+        check(FaultAction::RecoverServers(ids(&[0])), FaultAction::RecoverServers(ids(&[6])));
+    }
+
+    #[test]
+    fn check_topology_rejects_unknown_datacenters() {
+        check(FaultAction::FailDatacenter(dc(2)), FaultAction::FailDatacenter(dc(3)));
+        check(FaultAction::RecoverDatacenter(dc(0)), FaultAction::RecoverDatacenter(dc(9)));
+        check(FaultAction::Partition(vec![dc(0)]), FaultAction::Partition(vec![dc(0), dc(7)]));
+    }
+
+    #[test]
+    fn check_topology_rejects_unknown_rooms() {
+        let room = RoomId::new;
+        check(FaultAction::FailRoom(dc(1), room(0)), FaultAction::FailRoom(dc(1), room(1)));
+        check(FaultAction::RecoverRoom(dc(0), room(0)), FaultAction::RecoverRoom(dc(5), room(0)));
+    }
+
+    #[test]
+    fn check_topology_rejects_unknown_racks() {
+        let (room, rack) = (RoomId::new(0), RackId::new);
+        check(
+            FaultAction::FailRack(dc(2), room, rack(0)),
+            FaultAction::FailRack(dc(2), room, rack(1)),
+        );
+        check(
+            FaultAction::RecoverRack(dc(0), room, rack(0)),
+            FaultAction::RecoverRack(dc(0), RoomId::new(2), rack(0)),
+        );
+    }
+
+    #[test]
+    fn check_topology_rejects_unknown_links() {
+        check(FaultAction::LinkDown(dc(0), dc(1)), FaultAction::LinkDown(dc(0), dc(2)));
+        check(FaultAction::LinkUp(dc(2), dc(1)), FaultAction::LinkUp(dc(1), dc(1)));
+        check(
+            FaultAction::LinkLatency(dc(1), dc(0), 3.0),
+            FaultAction::LinkLatency(dc(1), dc(8), 3.0),
+        );
     }
 }

@@ -38,19 +38,16 @@
 //! touch only their own store, so no cycle exists.
 
 use crate::config::ClusterConfig;
-use crate::control::{ControlStats, Controller};
+use crate::control::{control_kernel, ControlStats, Controller};
 use crate::http;
 use crate::node;
 use crate::store::{partition_of, NodeStore, Versioned};
 use crate::telemetry::{ClusterTelemetry, TickSample};
 use crate::wal::StorageSnapshot;
 use crate::wire::Conn;
-use rfh_core::{Action, ReplicaManager};
 use rfh_faults::FaultPlan;
 use rfh_obs::{MetricsRegistry, SpanLog};
-use rfh_ring::ConsistentHashRing;
-use rfh_stats::min_replica_count;
-use rfh_topology::{scaled_paper_topology, Topology};
+use rfh_sim::EpochKernel;
 use rfh_types::{PartitionId, Result, RfhError, ServerId};
 use rfh_workload::SharedLoad;
 use std::collections::HashMap;
@@ -58,10 +55,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-
-/// Tokens per server on the placement ring (same constant the offline
-/// simulator uses).
-pub const RING_TOKENS: u32 = 64;
 
 /// Monotonic counters the data plane bumps per request.
 #[derive(Debug, Default)]
@@ -119,6 +112,41 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Data-plane state for the kernel's cluster: every node alive as
+    /// the topology says, routes published from the replica map, all
+    /// route epochs even.
+    pub fn new(
+        kernel: &EpochKernel,
+        stores: Vec<NodeStore>,
+        addrs: Vec<SocketAddr>,
+        telemetry: bool,
+    ) -> Self {
+        let (topo, manager) = (kernel.topology(), kernel.manager());
+        let partitions = manager.partitions();
+        let n = topo.server_count();
+        Shared {
+            partitions,
+            dc_of: topo.servers().iter().map(|s| s.datacenter.0).collect(),
+            alive: topo.servers().iter().map(|s| AtomicBool::new(s.alive)).collect(),
+            routes: RwLock::new(
+                (0..partitions).map(|p| manager.replicas(PartitionId::new(p)).to_vec()).collect(),
+            ),
+            route_epochs: (0..partitions).map(|_| AtomicU64::new(0)).collect(),
+            locks: (0..partitions).map(|_| Mutex::new(())).collect(),
+            load: SharedLoad::zeros(partitions, topo.datacenters().len() as u32),
+            stores,
+            addrs,
+            peers: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            counters: Counters::default(),
+            telemetry: if telemetry {
+                ClusterTelemetry::on(n, partitions)
+            } else {
+                ClusterTelemetry::off()
+            },
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
     /// Route row for one partition (cloned snapshot).
     pub fn route(&self, p: PartitionId) -> Vec<ServerId> {
         self.routes.read().expect("routes lock")[p.index()].clone()
@@ -291,7 +319,7 @@ pub struct Cluster {
     handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     /// The epoll data plane, when `data_plane = "reactor"`.
     reactor: Option<crate::reactor::ReactorPlane>,
-    control: JoinHandle<ControlStats>,
+    control: JoinHandle<Result<ControlStats>>,
     /// Per-node `/metrics` endpoints (empty when telemetry is off).
     metrics_addrs: Vec<SocketAddr>,
     /// The controller's `/metrics` + `/timeline` + `/spans` endpoint.
@@ -325,24 +353,9 @@ impl Cluster {
         bind_addrs: Option<&[SocketAddr]>,
     ) -> Result<Cluster> {
         config.validate()?;
-        let cfg = config.sim_config();
-        let topo =
-            scaled_paper_topology(config.servers_per_rack, config.capacity_spread, config.seed)?;
+        let kernel = control_kernel(config, &faults)?;
+        let topo = kernel.topology();
         let n = topo.server_count();
-        let dc_count = topo.datacenters().len() as u32;
-
-        let mut ring = ConsistentHashRing::new(RING_TOKENS);
-        for s in topo.servers() {
-            if s.alive {
-                ring.join(s.id);
-            }
-        }
-        let holders = (0..cfg.partitions)
-            .map(|p| ring.primary(PartitionId::new(p)))
-            .collect::<Result<Vec<_>>>()?;
-        let mut manager = ReplicaManager::new(&cfg, n, holders)?;
-        let r_min = min_replica_count(cfg.failure_rate, cfg.min_availability) as usize;
-        floor_replicate(&topo, &ring, &mut manager, cfg.partitions, r_min);
 
         // Bind every node's listener before any thread starts, so the
         // address list is complete from the first request on.
@@ -378,12 +391,10 @@ impl Cluster {
             Some(p) => (0..n).map(|i| NodeStore::durable(p, i)).collect::<Result<_>>()?,
         };
 
-        let routes: Vec<Vec<ServerId>> =
-            (0..cfg.partitions).map(|p| manager.replicas(PartitionId::new(p)).to_vec()).collect();
-
+        let shared = Arc::new(Shared::new(&kernel, stores, addrs, config.telemetry));
         let mut recovery = RecoveryReport::default();
         if config.persistence.is_some() {
-            for s in &stores {
+            for s in &shared.stores {
                 if let Some(stats) = s.storage() {
                     let snap = stats.snapshot();
                     if snap.records_replayed > 0 {
@@ -393,29 +404,10 @@ impl Cluster {
                     recovery.torn_tails_truncated += snap.torn_tails_truncated;
                 }
             }
-            reconcile_recovered(&stores, &routes, cfg.partitions, &mut recovery);
+            let routes = shared.routes.read().expect("routes lock");
+            reconcile_recovered(&shared.stores, &routes, shared.partitions, &mut recovery);
             recovery.duration_ms = recover_t0.elapsed().as_millis() as u64;
         }
-
-        let shared = Arc::new(Shared {
-            partitions: cfg.partitions,
-            dc_of: topo.servers().iter().map(|s| s.datacenter.0).collect(),
-            alive: topo.servers().iter().map(|s| AtomicBool::new(s.alive)).collect(),
-            routes: RwLock::new(routes),
-            route_epochs: (0..cfg.partitions).map(|_| AtomicU64::new(0)).collect(),
-            locks: (0..cfg.partitions).map(|_| Mutex::new(())).collect(),
-            load: SharedLoad::zeros(cfg.partitions, dc_count),
-            stores,
-            addrs,
-            peers: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            counters: Counters::default(),
-            telemetry: if config.telemetry {
-                ClusterTelemetry::on(n, cfg.partitions)
-            } else {
-                ClusterTelemetry::off()
-            },
-            shutdown: AtomicBool::new(false),
-        });
 
         let infos: Vec<NodeInfo> = topo
             .servers()
@@ -498,18 +490,7 @@ impl Cluster {
             );
         }
 
-        let controller = Controller::new(
-            Arc::clone(&shared),
-            topo,
-            ring,
-            manager,
-            cfg,
-            faults,
-            r_min,
-            config.threads as usize,
-            config.placement,
-            config.planner(),
-        );
+        let controller = Controller::new(Arc::clone(&shared), kernel);
         let interval = std::time::Duration::from_millis(config.control_interval_ms);
         let control = std::thread::Builder::new()
             .name("rfh-control".into())
@@ -603,7 +584,7 @@ impl Cluster {
     /// listeners and handlers. Returns the run's accounting.
     pub fn shutdown(self) -> Result<ServeSummary> {
         self.shared.shutdown.store(true, Ordering::Release);
-        let stats = self
+        let control = self
             .control
             .join()
             .map_err(|_| RfhError::Simulation("control loop panicked".into()))?;
@@ -620,6 +601,9 @@ impl Cluster {
         for h in handlers {
             h.join().map_err(|_| RfhError::Simulation("connection handler panicked".into()))?;
         }
+        // A control loop that stopped on a kernel error fails the run,
+        // after the data plane has been torn down like any other.
+        let stats = control?;
         let c = &self.shared.counters;
         let alive_nodes = self.shared.alive.iter().filter(|a| a.load(Ordering::Acquire)).count();
         let storage = {
@@ -794,42 +778,4 @@ fn bind_reuseaddr(addr: SocketAddr) -> std::io::Result<TcpListener> {
 #[cfg(not(unix))]
 fn bind_reuseaddr(addr: SocketAddr) -> std::io::Result<TcpListener> {
     TcpListener::bind(addr)
-}
-
-/// Grow every partition to `r_min` replicas before serving starts,
-/// one ring successor at a time, cycling the manager's per-epoch
-/// bandwidth budget as needed. Stores are empty at this point, so no
-/// data moves — only the replica map.
-fn floor_replicate(
-    topo: &Topology,
-    ring: &ConsistentHashRing,
-    manager: &mut ReplicaManager,
-    partitions: u32,
-    r_min: usize,
-) {
-    for _round in 0..r_min.max(1) * 4 {
-        manager.begin_epoch();
-        let mut progressed = false;
-        for p in (0..partitions).map(PartitionId::new) {
-            if manager.replica_count(p) >= r_min {
-                continue;
-            }
-            let target =
-                ring.successors(p, topo.server_count()).ok().into_iter().flatten().find(|&s| {
-                    topo.servers()[s.index()].alive
-                        && !manager.hosts(p, s)
-                        && manager.can_accept(p, s)
-                });
-            if let Some(target) = target {
-                if manager.apply(topo, Action::Replicate { partition: p, target }).is_ok() {
-                    progressed = true;
-                }
-            }
-        }
-        let done = (0..partitions).all(|p| manager.replica_count(PartitionId::new(p)) >= r_min);
-        if done || !progressed {
-            break;
-        }
-    }
-    manager.begin_epoch();
 }

@@ -1,48 +1,43 @@
 //! The online RFH control loop.
 //!
-//! One thread owns the entire control plane — topology, ring, replica
-//! manager, traffic engine/smoother, policy, fault injector, repair
-//! queue, auditor — exactly the state the offline simulator's epoch
-//! loop owns. Every `control_interval_ms` it runs one *tick*, which is
-//! the offline epoch loop transplanted onto live counters:
+//! One thread owns the control plane: an [`EpochKernel`] — the same
+//! epoch loop the offline simulator runs — plus a [`LiveExecutor`] that
+//! carries the kernel's placement changes onto the data plane. Every
+//! `control_interval_ms` it runs one *tick*, which is one kernel epoch
+//! on live counters:
 //!
-//! 1. drive the fault plan (kill/recover nodes, flip the data plane's
-//!    alive flags, prune dead replicas, retry archive restores);
-//! 2. atomically drain the live `q_ijt` counters into a `QueryLoad`;
-//! 3. run the **real** traffic pass (`TrafficEngine`), EWMA smoothing,
-//!    and Erlang-B blocking over the drained matrix;
-//! 4. let the **real** `RfhPolicy` decide replicate/migrate/suicide;
-//! 5. execute transfers through the `ReplicaManager`, deferring
-//!    unreachable destinations to the PR 3 repair queue (retried with
-//!    backoff ahead of new decisions), copying partition data and
-//!    republishing routes under the per-partition lock;
-//! 6. audit placement invariants.
+//! 1. drive the fault plan: the kernel updates the topology and ring
+//!    and prunes dead replicas; the executor flips the data plane's
+//!    alive flags, replays restarted nodes' logs, copies archive
+//!    restores and republishes routes;
+//! 2. retry archive restores for pinned partitions;
+//! 3. gauge availability for the timeline (telemetry on only);
+//! 4. atomically drain the live `q_ijt` counters into a `QueryLoad`;
+//! 5. run the kernel's epoch over it — traffic pass, EWMA smoothing,
+//!    Erlang-B blocking, the policy's decisions, deferred repairs and
+//!    the transfer planner, audit — with every admitted action executed
+//!    as partition lock → route epoch odd → manager apply → data copy →
+//!    route publish;
+//! 6. record the tick sample and republish the registry.
 //!
 //! The loop is paced by wall-clock, so a live run is *not*
 //! bit-deterministic — how many requests land in each tick depends on
-//! scheduling. Everything downstream of the drained matrix is the same
-//! deterministic code the simulator runs.
+//! scheduling. Everything downstream of the drained matrix is the
+//! kernel the simulator runs; the differential test below feeds both
+//! the same recorded trace and checks they decide alike.
 
 use crate::cluster::Shared;
+use crate::config::ClusterConfig;
 use crate::store::Versioned;
 use crate::telemetry::TickSample;
 use crate::wal::StorageSnapshot;
-use rfh_core::{
-    server_blocking_probabilities, Action, EpochContext, PlacementMode, ReplicaManager,
-    ReplicationPolicy, RfhPolicy,
-};
-use rfh_faults::{FaultInjector, FaultPlan, InvariantAuditor};
-use rfh_obs::{MetricsRegistry, NullRecorder};
-use rfh_pool::WorkerPool;
-use rfh_ring::ConsistentHashRing;
-use rfh_sim::{
-    destination_unreachable, link_between, LinkKey, MoveClass, MoveReq, PlannerConfig, RepairQueue,
-    TransferPlanner,
-};
+use rfh_core::{Action, AppliedAction, PlacementMode, PolicyKind, ReplicaManager};
+use rfh_faults::{EpochFaultReport, FaultPlan};
+use rfh_obs::{MetricsRegistry, Recorder};
+use rfh_sim::{Availability, EpochKernel, Executor};
 use rfh_stats::Histogram;
-use rfh_topology::Topology;
-use rfh_traffic::{PlacementView, TrafficEngine, TrafficSmoother};
-use rfh_types::{Epoch, PartitionId, ServerId, SimConfig};
+use rfh_topology::{scaled_paper_topology, Topology};
+use rfh_types::{PartitionId, Result, ServerId};
 use rfh_workload::QueryLoad;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -90,158 +85,102 @@ struct TickCounters {
     violations: u64,
 }
 
+/// The cluster's initial control state: the scaled paper topology,
+/// ring placement, and every partition floor-replicated to `r_min`
+/// copies (so a single-server kill never strands a partition). Rejects
+/// a fault plan that names an entity the topology lacks.
+pub(crate) fn control_kernel(config: &ClusterConfig, faults: &FaultPlan) -> Result<EpochKernel> {
+    let topo = scaled_paper_topology(config.servers_per_rack, config.capacity_spread, config.seed)?;
+    faults.check_topology(&topo)?;
+    let policy = match config.placement {
+        PlacementMode::Traffic => PolicyKind::Rfh,
+        PlacementMode::DomainSpread => PolicyKind::DomainSpread,
+    };
+    let threads = config.threads as usize;
+    let mut kernel =
+        EpochKernel::new(config.sim_config(), topo, policy, config.seed, faults, threads)?
+            .with_planner(config.planner());
+    kernel.replicate_to_floor();
+    Ok(kernel)
+}
+
 pub(crate) struct Controller {
-    shared: Arc<Shared>,
-    topo: Topology,
-    ring: ConsistentHashRing,
-    manager: ReplicaManager,
-    engine: TrafficEngine,
-    smoother: TrafficSmoother,
-    policy: RfhPolicy,
-    injector: Option<FaultInjector>,
-    auditor: InvariantAuditor,
-    repair_queue: RepairQueue,
-    /// Bandwidth-budgeted admission control for tick transfers; with
-    /// `planner_cfg.enabled` off the greedy path runs untouched.
-    planner_cfg: PlannerConfig,
-    planner: TransferPlanner,
-    pinned: Vec<PartitionId>,
-    view: PlacementView,
-    /// Partitions whose replica set changed since the last render.
-    dirty_parts: Vec<PartitionId>,
-    /// The view must be re-rendered wholesale (first tick, prune,
-    /// restore); that tick runs dirty-all, seeding the sparse carry.
-    view_stale: bool,
-    /// Availability floor, for the sparse carry filter.
-    r_min: usize,
-    /// Last tick's active set, sorted ascending (the sparse carry).
-    prev_active: Vec<u32>,
-    /// Build buffer for the next active set.
-    active_scratch: Vec<u32>,
-    /// Cumulative partitions visited / skipped by sparse ticks.
-    sparse_dirty: u64,
-    sparse_skipped: u64,
-    /// Shared worker pool for the tick's traffic pass; the policy holds
-    /// a second handle for its decision pass. `None` when `threads <= 1`.
-    pool: Option<Arc<WorkerPool>>,
-    scratch: QueryLoad,
-    cfg: SimConfig,
-    /// Fault-plan events this tick, for the timeline (empty unless
-    /// telemetry is on — `inject_faults` gates its pushes).
-    tick_events: Vec<String>,
+    kernel: EpochKernel,
+    exec: LiveExecutor,
+    /// Reused buffer the live counters drain into each tick.
+    load: QueryLoad,
     /// Counter snapshot at the previous tick sample.
     prev_counters: TickCounters,
     /// Reused buffer for the per-tick server-side latency histogram.
     tick_hist: Histogram,
-    tick: u64,
     replications: u64,
     migrations: u64,
     suicides: u64,
-    data_restores: u64,
-    restarts: u64,
 }
 
 impl Controller {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        shared: Arc<Shared>,
-        topo: Topology,
-        ring: ConsistentHashRing,
-        manager: ReplicaManager,
-        cfg: SimConfig,
-        faults: FaultPlan,
-        r_min: usize,
-        threads: usize,
-        placement: PlacementMode,
-        planner_cfg: PlannerConfig,
-    ) -> Self {
-        let dc_count = topo.datacenters().len() as u32;
-        let pool = (threads > 1).then(|| Arc::new(WorkerPool::new(threads)));
-        let mut policy = RfhPolicy::new();
-        policy.set_pool(pool.clone());
-        policy.set_placement(placement);
+    pub fn new(shared: Arc<Shared>, kernel: EpochKernel) -> Self {
         Controller {
-            injector: FaultInjector::new(&faults),
-            auditor: InvariantAuditor::new(cfg.partitions, r_min),
-            repair_queue: RepairQueue::new(),
-            planner_cfg,
-            planner: TransferPlanner::new(),
-            pinned: Vec::new(),
-            smoother: TrafficSmoother::new(cfg.partitions, dc_count, cfg.thresholds.alpha),
-            engine: TrafficEngine::new(),
-            view: PlacementView::new(0, 0, Vec::new()),
-            dirty_parts: Vec::new(),
-            view_stale: true,
-            r_min,
-            prev_active: Vec::new(),
-            active_scratch: Vec::new(),
-            sparse_dirty: 0,
-            sparse_skipped: 0,
-            pool,
-            scratch: QueryLoad::zeros(cfg.partitions, dc_count),
-            tick_events: Vec::new(),
+            load: QueryLoad::zeros(shared.partitions, shared.load.datacenters()),
+            exec: LiveExecutor { shared, tick_events: Vec::new(), data_restores: 0, restarts: 0 },
+            kernel,
             prev_counters: TickCounters::default(),
             tick_hist: Histogram::latency(),
-            policy,
-            shared,
-            topo,
-            ring,
-            manager,
-            cfg,
-            tick: 0,
             replications: 0,
             migrations: 0,
             suicides: 0,
-            data_restores: 0,
-            restarts: 0,
         }
     }
 
     /// Run ticks until shutdown; always executes one final tick after
     /// the flag flips so the last interval's counters are drained and
-    /// audited.
-    pub fn run(mut self, interval: Duration) -> ControlStats {
+    /// audited. A kernel error stops the loop and is returned.
+    pub fn run(mut self, interval: Duration) -> Result<ControlStats> {
+        let shared = Arc::clone(&self.exec.shared);
+        let shutdown = || shared.shutdown.load(Ordering::Acquire);
         loop {
-            let last = self.shared.shutdown.load(Ordering::Acquire);
-            self.step();
+            let last = shutdown();
+            self.step()?;
             if last {
                 break;
             }
             let mut slept = Duration::ZERO;
-            while slept < interval && !self.shared.shutdown.load(Ordering::Acquire) {
+            while slept < interval && !shutdown() {
                 let nap = (interval - slept).min(Duration::from_millis(10));
                 std::thread::sleep(nap);
                 slept += nap;
             }
         }
-        self.finish()
+        Ok(self.finish())
     }
 
     /// The control plane's registry: serve.* lifetime totals, the
-    /// data-plane request counters, the PR 6 sparse counters, and the
+    /// data-plane request counters, the sparse counters, and the
     /// traffic engine's cache stats. Built fresh from totals every
     /// call, so republishing per tick (and re-scraping) is idempotent.
     fn build_registry(&self) -> MetricsRegistry {
+        let k = &self.kernel;
+        let (dirty, skipped) = k.sparse_counters();
         let mut registry = MetricsRegistry::new();
-        registry.counter_total("serve.control.ticks", self.tick);
+        registry.counter_total("serve.control.ticks", k.epoch());
         registry.counter_total("serve.actions.replications", self.replications);
         registry.counter_total("serve.actions.migrations", self.migrations);
         registry.counter_total("serve.actions.suicides", self.suicides);
-        registry.counter_total("serve.repairs.completed", self.repair_queue.completed());
-        registry.counter_total("serve.repairs.dead_letters", self.repair_queue.dead_letters());
-        registry.counter_total("serve.data_restores", self.data_restores);
-        registry.counter_total("serve.invariant_violations", self.auditor.total());
-        registry.counter_total("serve.sparse.dirty_partitions", self.sparse_dirty);
-        registry.counter_total("serve.sparse.skipped_partitions", self.sparse_skipped);
+        registry.counter_total("serve.repairs.completed", k.repair_queue().completed());
+        registry.counter_total("serve.repairs.dead_letters", k.repair_queue().dead_letters());
+        registry.counter_total("serve.data_restores", self.exec.data_restores);
+        registry.counter_total("serve.invariant_violations", k.auditor().total());
+        registry.counter_total("serve.sparse.dirty_partitions", dirty);
+        registry.counter_total("serve.sparse.skipped_partitions", skipped);
         // Planner series appear only when the planner runs, so a
         // budget-less scrape is byte-identical to older builds.
-        if self.planner_cfg.enabled {
-            registry.counter_total("serve.planner.admitted", self.planner.admitted_total());
-            registry.counter_total("serve.planner.deferred", self.planner.deferred_total());
-            registry.gauge("serve.planner.credit_bytes", self.planner.credit_bytes() as f64);
+        if let Some(planner) = k.planner() {
+            registry.counter_total("serve.planner.admitted", planner.admitted_total());
+            registry.counter_total("serve.planner.deferred", planner.deferred_total());
+            registry.gauge("serve.planner.credit_bytes", planner.credit_bytes() as f64);
         }
-        registry.gauge("serve.replicas_total", self.manager.total_replicas() as f64);
-        let c = &self.shared.counters;
+        registry.gauge("serve.replicas_total", k.manager().total_replicas() as f64);
+        let c = &self.exec.shared.counters;
         registry.counter_total("serve.requests.gets", c.gets.load(Ordering::Relaxed));
         registry.counter_total("serve.requests.puts", c.puts.load(Ordering::Relaxed));
         registry.counter_total("serve.requests.forwards", c.forwards.load(Ordering::Relaxed));
@@ -249,15 +188,15 @@ impl Controller {
         registry.counter_total("serve.acks.not_found", c.acks_not_found.load(Ordering::Relaxed));
         registry
             .counter_total("serve.acks.unavailable", c.acks_unavailable.load(Ordering::Relaxed));
-        self.engine.stats().collect_metrics(&mut registry);
+        k.engine().stats().collect_metrics(&mut registry);
         // Durability series appear only when durability is in play, so
         // a persistence-off scrape is byte-identical to older builds.
-        if self.restarts > 0 {
-            registry.counter_total("serve.restarts", self.restarts);
+        if self.exec.restarts > 0 {
+            registry.counter_total("serve.restarts", self.exec.restarts);
         }
         let mut storage = StorageSnapshot::default();
         let mut durable = false;
-        for s in &self.shared.stores {
+        for s in &self.exec.shared.stores {
             if let Some(stats) = s.storage() {
                 storage.add(stats.snapshot());
                 durable = true;
@@ -271,260 +210,55 @@ impl Controller {
 
     fn finish(self) -> ControlStats {
         let registry = self.build_registry();
+        let k = &self.kernel;
         ControlStats {
-            ticks: self.tick,
+            ticks: k.epoch(),
             replications: self.replications,
             migrations: self.migrations,
             suicides: self.suicides,
-            repairs_completed: self.repair_queue.completed(),
-            dead_letters: self.repair_queue.dead_letters(),
-            invariant_violations: self.auditor.total(),
-            data_restores: self.data_restores,
-            restarts: self.restarts,
-            replicas_total: self.manager.total_replicas(),
+            repairs_completed: k.repair_queue().completed(),
+            dead_letters: k.repair_queue().dead_letters(),
+            invariant_violations: k.auditor().total(),
+            data_restores: self.exec.data_restores,
+            restarts: self.exec.restarts,
+            replicas_total: k.manager().total_replicas(),
             registry,
         }
     }
 
-    /// One control tick — the offline epoch loop on live counters.
-    fn step(&mut self) {
-        self.inject_faults();
-        self.retry_restores();
+    /// One control tick: one kernel epoch on live counters.
+    fn step(&mut self) -> Result<()> {
+        let tick = self.kernel.epoch();
+        self.kernel.inject_faults(&mut self.exec)?;
+        self.kernel.open_epoch(&mut self.exec);
         // Health is gauged here — after faults land, before this tick's
         // repair actions — so a kill shows up as a degraded/unavailable
         // dip on the timeline even when RFH repairs it within the tick.
-        let health = self.shared.telemetry.enabled().then(|| self.partition_health());
-        self.manager.begin_epoch();
-
-        self.scratch.clear_touched();
-        self.shared.load.drain_sparse_into(&mut self.scratch);
-
-        // The live loop always runs the sparse engine — the offline
-        // simulator's dense/sparse differential harness proves the two
-        // paths bit-identical, so serving keeps only the O(dirty) one.
-        // Active set = carry ∪ drained ∪ placement-dirty, exactly as in
-        // the simulator; a stale view (first tick, prune, restore) runs
-        // dirty-all, which doubles as the warm-up that seeds the carry.
-        self.active_scratch.clear();
-        if self.view_stale {
-            self.active_scratch.extend(0..self.cfg.partitions);
-        } else {
-            for &pu in &self.prev_active {
-                if self.policy.keeps_live(
-                    &self.topo,
-                    &self.smoother,
-                    &self.manager,
-                    self.r_min,
-                    PartitionId::new(pu),
-                ) {
-                    self.active_scratch.push(pu);
-                }
-            }
-            self.active_scratch.extend_from_slice(self.scratch.touched());
-            self.active_scratch.extend(self.dirty_parts.iter().map(|p| p.0));
-            self.active_scratch.sort_unstable();
-            self.active_scratch.dedup();
-        }
-        std::mem::swap(&mut self.prev_active, &mut self.active_scratch);
-        self.sparse_dirty += self.prev_active.len() as u64;
-        self.sparse_skipped += self.cfg.partitions as u64 - self.prev_active.len() as u64;
-
-        if self.view_stale {
-            self.manager.render_view(&self.topo, self.cfg.replica_capacity_mean, &mut self.view);
-            self.view_stale = false;
-            self.dirty_parts.clear();
-        } else {
-            for &p in &self.dirty_parts {
-                self.manager.render_partition(
-                    &self.topo,
-                    self.cfg.replica_capacity_mean,
-                    p,
-                    &mut self.view,
-                );
-            }
-            self.dirty_parts.clear();
-        }
-        let accounts = match &self.pool {
-            Some(pool) => self.engine.account_active_sharded(
-                &self.topo,
-                &self.scratch,
-                &self.view,
-                &self.prev_active,
-                pool,
-            ),
-            None => {
-                self.engine.account_active(&self.topo, &self.scratch, &self.view, &self.prev_active)
-            }
-        };
-        self.smoother.update_active(&self.scratch, accounts, &self.prev_active);
-        let blocking =
-            server_blocking_probabilities(&self.topo, accounts, self.cfg.replica_capacity_mean);
-
-        let recorder = NullRecorder;
-        let ctx = EpochContext {
-            epoch: Epoch(self.tick),
-            topo: &self.topo,
-            load: &self.scratch,
-            accounts,
-            smoother: &self.smoother,
-            blocking: &blocking,
-            view: &self.view,
-            config: &self.cfg,
-            recorder: &recorder,
-            active: Some(&self.prev_active),
-        };
-        let actions = self.policy.decide(&ctx, &self.manager);
-
-        // Deferred transfers compete for bandwidth ahead of new
-        // decisions, exactly as in the offline loop.
-        let due = self.repair_queue.take_due(self.tick);
-        if !self.planner_cfg.enabled {
-            for item in due {
-                self.run_deferred(item.action, item.attempts);
-            }
-            for action in actions {
-                self.run_fresh(action);
-            }
-        } else {
-            // Planner path, mirroring the offline epoch loop: moves are
-            // offered in greedy execution order (deferred lane first),
-            // the priority classes only decide which moves win a
-            // contended link budget, and admitted moves execute in
-            // their offered order.
-            let size = self.cfg.partition_size.0;
-            let mut moves: Vec<MoveReq<(Action, bool, u32)>> =
-                Vec::with_capacity(due.len() + actions.len());
-            for item in &due {
-                moves.push(MoveReq {
-                    tag: (item.action, true, item.attempts),
-                    link: self.wan_link(&item.action),
-                    bytes: size,
-                    class: MoveClass::Deferred { age: item.attempts },
-                });
-            }
-            for &action in &actions {
-                let class = match action {
-                    Action::Replicate { partition, .. }
-                        if self.manager.replica_count(partition) < self.r_min =>
-                    {
-                        MoveClass::UnderReplicated
-                    }
-                    _ => MoveClass::Normal,
-                };
-                moves.push(MoveReq {
-                    tag: (action, false, 0),
-                    link: self.wan_link(&action),
-                    bytes: size,
-                    class,
-                });
-            }
-            let (repl_f, migr_f) = self.manager.bandwidth_factors();
-            let budget = match self.planner_cfg.link_budget_bytes {
-                None => u64::MAX,
-                Some(b) => (b as f64 * repl_f.min(migr_f)) as u64,
-            };
-            let outcome = self.planner.plan(moves, |_| budget);
-            for (action, was_deferred, attempts) in outcome.admitted {
-                if was_deferred {
-                    self.run_deferred(action, attempts);
-                } else {
-                    self.run_fresh(action);
-                }
-            }
-            for (action, _, attempts) in outcome.deferred {
-                self.repair_queue.defer_next(action, attempts + 1, self.tick);
-            }
-        }
-
-        // Subset audit over the active partitions (plus the auditor's
-        // internal watch list): only actions change audit state, actions
-        // land on active partitions, and deferred repairs target watched
-        // partitions — so the violation stream matches a full sweep.
-        let manager = &self.manager;
-        let pinned = &self.pinned;
-        self.auditor.audit_subset(
-            self.tick,
-            &self.topo,
-            &self.prev_active,
-            |p, buf| buf.extend_from_slice(manager.replicas(p)),
-            |p| pinned.contains(&p),
-        );
-        self.record_tick_sample(health);
-        self.tick += 1;
-    }
-
-    /// Execute one deferred-lane item: re-defer with backoff while the
-    /// destination is unreachable, otherwise apply and account it.
-    fn run_deferred(&mut self, action: Action, attempts: u32) {
-        if destination_unreachable(&self.topo, &self.manager, &action) {
-            self.repair_queue.defer(action, attempts + 1, self.tick);
-            return;
-        }
-        if self.execute(action) {
-            self.repair_queue.note_completed();
-        }
-    }
-
-    /// Execute one of this tick's fresh decisions, deferring it when
-    /// chaos has made the destination unreachable.
-    fn run_fresh(&mut self, action: Action) {
-        if self.injector.is_some() && destination_unreachable(&self.topo, &self.manager, &action) {
-            self.repair_queue.defer(action, 0, self.tick);
-            return;
-        }
-        self.execute(action);
-    }
-
-    /// The WAN link a transfer crosses, or `None` for suicides and
-    /// intra-datacenter moves (which cost the planner nothing).
-    fn wan_link(&self, action: &Action) -> Option<LinkKey> {
-        let dc = |s: ServerId| self.topo.servers()[s.index()].datacenter;
-        let (src, dst) = match *action {
-            Action::Replicate { partition, target } => {
-                (dc(self.manager.holder(partition)), dc(target))
-            }
-            Action::Migrate { from, to, .. } => (dc(from), dc(to)),
-            Action::Suicide { .. } => return None,
-        };
-        (src != dst).then(|| link_between(src, dst))
-    }
-
-    /// Count partitions below the replication floor: `(degraded,
-    /// unavailable)` where degraded means `0 < live < r_min` and
-    /// unavailable means no live replica at all.
-    fn partition_health(&self) -> (u64, u64) {
-        let mut degraded = 0u64;
-        let mut unavailable = 0u64;
-        for p in (0..self.cfg.partitions).map(PartitionId::new) {
-            let live = self
-                .manager
-                .replicas(p)
-                .iter()
-                .filter(|s| self.topo.servers()[s.index()].alive)
-                .count();
-            if live == 0 {
-                unavailable += 1;
-            } else if live < self.r_min {
-                degraded += 1;
-            }
-        }
-        (degraded, unavailable)
+        let health = self.exec.shared.telemetry.enabled().then(|| self.kernel.availability());
+        self.load.clear_touched();
+        self.exec.shared.load.drain_sparse_into(&mut self.load);
+        let snap = self.kernel.step(&self.load, &mut self.exec);
+        self.replications += snap.replications as u64;
+        self.migrations += snap.migrations as u64;
+        self.suicides += snap.suicides as u64;
+        self.record_tick_sample(tick, health);
+        Ok(())
     }
 
     /// Drain the per-tick server-side latency histograms, compute this
     /// tick's deltas, append one [`TickSample`] to the timeline ring
-    /// (with the pre-repair health gauges from [`Self::partition_health`]),
-    /// and republish the control registry for the `/metrics` endpoint.
-    /// No-op when telemetry is off, so the control loop's outputs match
-    /// a pre-telemetry build.
-    fn record_tick_sample(&mut self, health: Option<(u64, u64)>) {
-        let Some((degraded, unavailable)) = health else {
+    /// (with the pre-repair health gauges), and republish the control
+    /// registry for the `/metrics` endpoint. No-op when telemetry is
+    /// off, so the control loop's outputs match a pre-telemetry build.
+    fn record_tick_sample(&mut self, tick: u64, health: Option<Availability>) {
+        let Some(health) = health else {
             return;
         };
+        let shared = &self.exec.shared;
         self.tick_hist.clear();
-        self.shared.telemetry.drain_tick(&mut self.tick_hist);
+        shared.telemetry.drain_tick(&mut self.tick_hist);
 
-        let c = &self.shared.counters;
+        let c = &shared.counters;
         let cur = TickCounters {
             ops: c.gets.load(Ordering::Relaxed) + c.puts.load(Ordering::Relaxed),
             forwards: c.forwards.load(Ordering::Relaxed),
@@ -533,78 +267,144 @@ impl Controller {
             replications: self.replications,
             migrations: self.migrations,
             suicides: self.suicides,
-            repairs_completed: self.repair_queue.completed(),
-            violations: self.auditor.total(),
+            repairs_completed: self.kernel.repair_queue().completed(),
+            violations: self.kernel.auditor().total(),
         };
         let prev = self.prev_counters;
 
-        self.shared.telemetry.push_sample(TickSample {
-            tick: self.tick,
+        shared.telemetry.push_sample(TickSample {
+            tick,
             ops: cur.ops - prev.ops,
             forwards: cur.forwards - prev.forwards,
             acks_ok: cur.acks_ok - prev.acks_ok,
             acks_unavailable: cur.acks_unavailable - prev.acks_unavailable,
             p50_us: self.tick_hist.quantile(0.5).unwrap_or(0.0),
             p99_us: self.tick_hist.quantile(0.99).unwrap_or(0.0),
-            replicas_total: self.manager.total_replicas() as u64,
-            degraded,
-            unavailable,
+            replicas_total: self.kernel.manager().total_replicas() as u64,
+            degraded: health.sub_rmin - health.unavailable,
+            unavailable: health.unavailable,
             replications: cur.replications - prev.replications,
             migrations: cur.migrations - prev.migrations,
             suicides: cur.suicides - prev.suicides,
             repairs: cur.repairs_completed - prev.repairs_completed,
             violations: cur.violations - prev.violations,
-            events: std::mem::take(&mut self.tick_events),
+            events: std::mem::take(&mut self.exec.tick_events),
         });
         self.prev_counters = cur;
-        self.shared.telemetry.publish_registry(self.build_registry());
+        shared.telemetry.publish_registry(self.build_registry());
     }
+}
 
-    /// Apply one action through the replica manager and mirror it on
-    /// the data plane: partition lock → control-plane apply → data copy
-    /// → route publish. Holding the lock for the whole sequence means
-    /// no client write can land between the copy and the new route.
-    fn execute(&mut self, action: Action) -> bool {
-        let partition = match action {
-            Action::Replicate { partition, .. }
-            | Action::Migrate { partition, .. }
-            | Action::Suicide { partition, .. } => partition,
+/// The kernel's executor on a live cluster: every placement change is
+/// mirrored onto the node stores and the published routes.
+struct LiveExecutor {
+    shared: Arc<Shared>,
+    /// Fault-plan events this tick, for the timeline (empty unless
+    /// telemetry is on).
+    tick_events: Vec<String>,
+    /// Partitions restored from the archive.
+    data_restores: u64,
+    /// Kill-then-restart cycles completed.
+    restarts: u64,
+}
+
+impl Executor for LiveExecutor {
+    /// Partition lock → route epoch odd → control-plane apply → data
+    /// copy → route publish. Holding the lock for the whole sequence
+    /// means no client write can land between the copy and the new
+    /// route; the odd epoch tells a reactor-plane writer whose replica
+    /// set may straddle the transfer to retry instead of acking.
+    fn apply(
+        &mut self,
+        manager: &mut ReplicaManager,
+        topo: &Topology,
+        action: Action,
+        recorder: &dyn Recorder,
+        policy: &'static str,
+    ) -> Result<AppliedAction> {
+        let p = action.partition();
+        let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
+        let old_route = self.shared.route(p);
+        self.shared.begin_route_change(p);
+        let applied = match manager.apply_recorded(topo, action, recorder, policy) {
+            Ok(applied) => applied,
+            Err(e) => {
+                // Aborted change: settle the epoch even again (spurious
+                // invalidation of in-flight optimistic writes is harmless).
+                self.shared.end_route_change(p);
+                return Err(e);
+            }
         };
-        let guard = self.shared.locks[partition.index()].lock().expect("partition lock");
-        let old_route = self.shared.route(partition);
-        // Flip the route epoch odd *before* touching placement or data:
-        // a reactor-plane writer observing an odd epoch (or an epoch
-        // changed across its write) knows its replica set may straddle
-        // the transfer and retries instead of acking.
-        self.shared.begin_route_change(partition);
-        if self.manager.apply(&self.topo, action).is_err() {
-            // Aborted change: settle the epoch even again (spurious
-            // invalidation of in-flight optimistic writes is harmless).
-            self.shared.end_route_change(partition);
-            return false; // budget/capacity rejection: the policy re-decides next tick
-        }
         match action {
-            Action::Replicate { target, .. } => {
-                self.copy_partition(partition, &old_route, target);
-                self.replications += 1;
+            Action::Replicate { target: to, .. } | Action::Migrate { to, .. } => {
+                self.copy_partition(p, &old_route, to);
             }
-            Action::Migrate { to, .. } => {
-                self.copy_partition(partition, &old_route, to);
-                self.migrations += 1;
-            }
-            Action::Suicide { .. } => {
-                // The shard's data stays in place but unrouted; a
-                // later re-replication to this node finds a warm copy
-                // and merge makes that safe.
-                self.suicides += 1;
-            }
+            // The shard's data stays in place but unrouted; a later
+            // re-replication to this node finds a warm copy and merge
+            // makes that safe.
+            Action::Suicide { .. } => {}
         }
-        self.publish(partition);
-        drop(guard);
-        self.dirty_parts.push(partition);
-        true
+        self.publish(manager, p);
+        Ok(applied)
     }
 
+    fn faults(&mut self, report: &EpochFaultReport) {
+        let telemetry = self.shared.telemetry.enabled();
+        for &id in &report.failed {
+            self.shared.alive[id.index()].store(false, Ordering::Release);
+            if telemetry {
+                self.tick_events.push(format!("kill s{}", id.0));
+            }
+        }
+        for &id in &report.recovered {
+            self.shared.alive[id.index()].store(true, Ordering::Release);
+            if telemetry {
+                self.tick_events.push(format!("recover s{}", id.0));
+            }
+        }
+        for &id in &report.restarted {
+            // Kill-then-restart: the node comes back with empty memory
+            // and replays its log before rejoining — exactly the
+            // in-process analogue of SIGKILL + relaunch. A memory store
+            // replays nothing; that data loss *is* its baseline
+            // semantics and what the durability tests measure against.
+            // A failed replay degrades to a cold rejoin rather than
+            // killing the control thread; repairs re-copy its partitions.
+            let replay = self.shared.stores[id.index()].restart_from_disk();
+            if telemetry {
+                self.tick_events.push(match replay {
+                    Ok(replayed) => format!("restart s{} replayed {replayed}", id.0),
+                    Err(e) => format!("restart s{} replay failed: {e}", id.0),
+                });
+            }
+            self.shared.alive[id.index()].store(true, Ordering::Release);
+            self.restarts += 1;
+        }
+    }
+
+    fn restored(&mut self, manager: &ReplicaManager, p: PartitionId) {
+        let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
+        if let Some(&to) = manager.replicas(p).first() {
+            let entries = self.archive_snapshot(p);
+            self.shared.stores[to.index()].merge(&entries);
+        }
+        self.publish(manager, p);
+        self.data_restores += 1;
+    }
+
+    fn republish(&mut self, manager: &ReplicaManager, p: PartitionId) {
+        let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
+        self.publish(manager, p);
+    }
+
+    fn republish_all(&mut self, manager: &ReplicaManager) {
+        for p in (0..self.shared.partitions).map(PartitionId::new) {
+            self.republish(manager, p);
+        }
+    }
+}
+
+impl LiveExecutor {
     /// Copy a full partition onto `to`: from the first live member of
     /// the pre-transfer route when one exists, else merged from every
     /// store (dead disks double as the archive).
@@ -636,150 +436,143 @@ impl Controller {
         best.into_iter().collect()
     }
 
-    /// Republish one partition's route row from the replica manager,
-    /// then settle its route epoch at the next even value. Caller holds
-    /// the partition lock.
-    fn publish(&self, p: PartitionId) {
-        self.shared.routes.write().expect("routes lock")[p.index()] =
-            self.manager.replicas(p).to_vec();
+    /// Republish one partition's route row from the replica map, then
+    /// settle its route epoch at the next even value. Caller holds the
+    /// partition lock.
+    fn publish(&self, manager: &ReplicaManager, p: PartitionId) {
+        self.shared.routes.write().expect("routes lock")[p.index()] = manager.replicas(p).to_vec();
         self.shared.end_route_change(p);
     }
+}
 
-    /// Republish every route row (after prune/recovery sweeps). Takes
-    /// each partition lock in turn.
-    fn publish_all(&self) {
-        for p in (0..self.shared.partitions).map(PartitionId::new) {
-            let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
-            self.publish(p);
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::store::{partition_of, NodeStore};
+    use rfh_faults::FaultAction;
+    use rfh_obs::BufferedRecorder;
+    use rfh_sim::PlacementOnly;
+    use rfh_workload::{Scenario, Trace, WorkloadGenerator};
+
+    const TICKS: u64 = 40;
+
+    fn jsonl(recorder: &BufferedRecorder) -> String {
+        recorder.drain().iter().map(|e| e.to_json() + "\n").collect()
     }
 
-    fn inject_faults(&mut self) {
-        let Some(injector) = self.injector.as_mut() else {
-            return;
-        };
-        let Ok(report) = injector.begin_epoch(self.tick, &mut self.topo) else {
-            return;
-        };
-        if !report.failed.is_empty() || report.routes_changed || report.random_shortfall > 0 {
-            self.auditor.note_fault(self.tick);
-        }
-        let telemetry = self.shared.telemetry.enabled();
-        for &id in &report.failed {
-            self.ring.leave(id);
-            self.shared.alive[id.index()].store(false, Ordering::Release);
-            if telemetry {
-                self.tick_events.push(format!("kill s{}", id.0));
-            }
-        }
-        for &id in &report.recovered {
-            self.ring.join(id);
-            self.shared.alive[id.index()].store(true, Ordering::Release);
-            if telemetry {
-                self.tick_events.push(format!("recover s{}", id.0));
-            }
-        }
-        for &id in &report.restarted {
-            // Kill-then-restart: the node comes back with empty memory
-            // and replays its log before rejoining — exactly the
-            // in-process analogue of SIGKILL + relaunch. A memory store
-            // replays nothing; that data loss *is* its baseline
-            // semantics and what the durability tests measure against.
-            self.ring.join(id);
-            match self.shared.stores[id.index()].restart_from_disk() {
-                Ok(replayed) => {
-                    if telemetry {
-                        self.tick_events.push(format!("restart s{} replayed {replayed}", id.0));
-                    }
-                }
-                Err(e) => {
-                    // Degrade to a cold rejoin rather than killing the
-                    // control thread; repairs re-copy its partitions.
-                    if telemetry {
-                        self.tick_events.push(format!("restart s{} replay failed: {e}", id.0));
-                    }
+    /// Drive a socket-free controller tick by tick with a recorded
+    /// trace, and the placement-only kernel over the same trace from
+    /// the same initial state: both must decide alike every tick, end
+    /// on the same replica map, and the controller must have published
+    /// exactly that map — with one key per partition following its
+    /// replicas. Returns the controller's kernel for extra checks.
+    fn differential(config: &ClusterConfig, faults: &FaultPlan) -> EpochKernel {
+        let live_rec = Arc::new(BufferedRecorder::new(true));
+        let ref_rec = Arc::new(BufferedRecorder::new(true));
+        let kernel = control_kernel(config, faults).unwrap().with_recorder(live_rec.clone());
+        let n = kernel.topology().server_count();
+        let stores = (0..n).map(|_| NodeStore::new()).collect();
+        let shared = Arc::new(Shared::new(&kernel, stores, Vec::new(), false));
+        let mut live = Controller::new(Arc::clone(&shared), kernel);
+        let mut reference = control_kernel(config, faults).unwrap().with_recorder(ref_rec.clone());
+
+        // One key per partition, written to its initial replicas.
+        let partitions = config.partitions;
+        let mut keys = vec![None; partitions as usize];
+        for k in 0u64.. {
+            let slot = &mut keys[partition_of(k, partitions).index()];
+            if slot.is_none() {
+                *slot = Some(k);
+                if keys.iter().all(Option::is_some) {
+                    break;
                 }
             }
-            self.shared.alive[id.index()].store(true, Ordering::Release);
-            self.restarts += 1;
         }
-        if let Some(p) = report.message_loss {
-            self.policy.set_message_loss(p);
+        let keys: Vec<u64> = keys.into_iter().map(Option::unwrap).collect();
+        for (p, &k) in keys.iter().enumerate() {
+            for s in shared.route(PartitionId::new(p as u32)) {
+                shared.stores[s.index()].put(k, 1, b"v");
+            }
         }
-        if let Some((repl, migr)) = report.bandwidth {
-            self.manager.set_bandwidth_factors(repl, migr);
+
+        let cfg = config.sim_config();
+        let mut gen = WorkloadGenerator::new(
+            cfg.queries_per_epoch,
+            partitions,
+            shared.load.datacenters(),
+            cfg.partition_skew,
+            Scenario::RandomEven,
+            TICKS,
+            config.seed,
+        );
+        let trace = Trace::record(&mut gen, TICKS);
+        let mut decisions = 0;
+        for (tick, load) in trace.iter().enumerate() {
+            for (p, dc, q) in load.iter_nonzero() {
+                shared.load.add(p, dc, q);
+            }
+            live.step().unwrap();
+            reference.inject_faults(&mut PlacementOnly).unwrap();
+            reference.open_epoch(&mut PlacementOnly);
+            reference.step(load, &mut PlacementOnly);
+            let (got, want) = (jsonl(&live_rec), jsonl(&ref_rec));
+            assert_eq!(got, want, "tick {tick}: decisions diverge");
+            decisions += got.lines().count();
         }
-        if !report.failed.is_empty() {
-            self.prune_dead();
+        assert!(decisions > 0, "the trace must make the policy act");
+
+        let topo = live.kernel.topology();
+        for p in (0..partitions).map(PartitionId::new) {
+            let replicas = live.kernel.manager().replicas(p);
+            assert_eq!(replicas, reference.manager().replicas(p), "{p}: final placement");
+            assert_eq!(shared.route(p), replicas, "{p}: published route");
+            for &s in replicas.iter().filter(|s| topo.servers()[s.index()].alive) {
+                let key = keys[p.index()];
+                assert!(shared.stores[s.index()].get(key).is_some(), "{p}: data missing on {s}");
+            }
         }
+        for s in topo.servers() {
+            assert_eq!(shared.is_alive(s.id.index()), s.alive, "{}: alive flag", s.id);
+        }
+        live.kernel
     }
 
-    /// Drop replicas on dead nodes; partitions that lost every copy
-    /// are restored from the archive onto a ring successor (or pinned
-    /// until any server is alive again).
-    fn prune_dead(&mut self) {
-        let ring = &self.ring;
-        let topo = &self.topo;
-        let outcome = self.manager.prune_dead(topo, |p| {
-            ring.successors(p, topo.server_count())
-                .ok()
-                .into_iter()
-                .flatten()
-                .find(|&s| topo.servers()[s.index()].alive)
-                .or_else(|| topo.servers().iter().find(|s| s.alive).map(|s| s.id))
-        });
-        for &p in &outcome.restored_partitions {
-            let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
-            if let Some(&to) = self.manager.replicas(p).first() {
-                let entries = self.archive_snapshot(p);
-                self.shared.stores[to.index()].merge(&entries);
-            }
-            self.publish(p);
-            self.data_restores += 1;
-        }
-        for p in outcome.unrestored_partitions {
-            if !self.pinned.contains(&p) {
-                self.pinned.push(p);
-            }
-        }
-        self.view_stale = true;
-        self.publish_all();
+    fn small_cluster() -> ClusterConfig {
+        ClusterConfig { servers_per_rack: 1, partitions: 16, ..ClusterConfig::default() }
     }
 
-    /// Retry archive restores for partitions pinned to dead nodes.
-    fn retry_restores(&mut self) {
-        if self.pinned.is_empty() {
-            return;
-        }
-        let mut still_pinned = Vec::new();
-        for p in std::mem::take(&mut self.pinned) {
-            // A pinned node that recovered brings its disk back.
-            if self.manager.replicas(p).iter().any(|&s| self.topo.servers()[s.index()].alive) {
-                let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
-                self.publish(p);
-                self.view_stale = true;
-                continue;
-            }
-            let target = self
-                .ring
-                .successors(p, self.topo.server_count())
-                .ok()
-                .into_iter()
-                .flatten()
-                .find(|&s| self.topo.servers()[s.index()].alive)
-                .or_else(|| self.topo.servers().iter().find(|s| s.alive).map(|s| s.id));
-            match target {
-                Some(to) if self.manager.restore_partition(&self.topo, p, to).is_ok() => {
-                    let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
-                    let entries = self.archive_snapshot(p);
-                    self.shared.stores[to.index()].merge(&entries);
-                    self.publish(p);
-                    self.data_restores += 1;
-                    self.view_stale = true;
-                }
-                _ => still_pinned.push(p),
-            }
-        }
-        self.pinned = still_pinned;
+    /// A plan that bypasses the start-up check and fails mid-run stops
+    /// the control loop with the kernel's error instead of ticking on
+    /// over a half-faulted topology.
+    #[test]
+    fn a_kernel_error_stops_the_control_loop() {
+        let config = small_cluster();
+        let faults = FaultPlan::default().at(0, FaultAction::FailServers(vec![ServerId::new(99)]));
+        let topo = scaled_paper_topology(1, config.capacity_spread, config.seed).unwrap();
+        let cfg = config.sim_config();
+        let kernel = EpochKernel::new(cfg, topo, PolicyKind::Rfh, 7, &faults, 1).unwrap();
+        let stores = (0..20).map(|_| NodeStore::new()).collect();
+        let shared = Arc::new(Shared::new(&kernel, stores, Vec::new(), false));
+        shared.shutdown.store(true, Ordering::Release);
+        let err = Controller::new(shared, kernel).run(Duration::ZERO).unwrap_err();
+        assert!(err.to_string().contains("unknown server id 99"), "{err}");
+    }
+
+    #[test]
+    fn live_controller_decides_like_the_placement_only_kernel() {
+        let kernel = differential(&small_cluster(), &FaultPlan::default());
+        assert_eq!(kernel.auditor().total(), 0, "a fault-free run audits clean");
+    }
+
+    #[test]
+    fn live_controller_matches_the_kernel_under_chaos_and_a_link_budget() {
+        let config = ClusterConfig { link_budget_bytes: Some(524_288), ..small_cluster() };
+        let faults = FaultPlan::default()
+            .at(3, FaultAction::FailServers(vec![ServerId::new(5)]))
+            .at(6, FaultAction::Bandwidth(0.5, 0.5));
+        let kernel = differential(&config, &faults);
+        assert!(!kernel.topology().servers()[5].alive, "the kill landed");
+        assert!(kernel.planner().unwrap().deferred_total() > 0, "the budget must defer moves");
+        assert!(kernel.repair_queue().completed() > 0, "deferred moves must complete");
     }
 }

@@ -13,8 +13,10 @@
 //!   segment logs, checkpoints, and torn-tail-truncating recovery.
 //! * [`cluster`] — startup, shared state, clean shutdown.
 //! * `node` (internal) — listener/handler threads: the data plane.
-//! * `control` (internal) — the online RFH loop; its lifetime totals
-//!   surface as [`ControlStats`].
+//! * `control` (internal) — the online RFH loop: the simulator's
+//!   `rfh_sim::EpochKernel` ticked on live counters, with an executor
+//!   that copies partition data and republishes routes; its lifetime
+//!   totals surface as [`ControlStats`].
 //! * [`client`] — datacenter-homed client handle with failover.
 //! * [`loadgen`] — closed/open-loop load generation, latency
 //!   histograms, and the acked-write verify pass.

@@ -9,6 +9,7 @@ use rfh_serve::{
     run_loadgen, ArrivalMode, Cluster, ClusterConfig, DataPlane, GetOutcome, LoadGenConfig,
     ServeClient,
 };
+use rfh_types::RfhError;
 
 fn small_cluster(plane: DataPlane) -> ClusterConfig {
     ClusterConfig {
@@ -125,6 +126,23 @@ fn kill_without_loss_on(plane: DataPlane, pipeline: u64) {
     assert_eq!(report.value_mismatches, 0, "corrupt values:\n{}", report.render());
     assert_eq!(summary.alive_nodes, 19, "exactly one server stays dead");
     assert!(summary.ticks >= 2, "the kill epoch must have run");
+}
+
+/// A plan naming a server the 20-node topology lacks is rejected at
+/// start, before the first tick could half-apply it.
+#[test]
+fn a_fault_plan_naming_an_unknown_server_fails_at_start() {
+    let plan = FaultPlan::from_toml_str("[[at]]\nepoch = 2\nfail_servers = [5, 99]\n").unwrap();
+    match Cluster::start(&small_cluster(DataPlane::Reactor), plan) {
+        Err(RfhError::InvalidConfig { parameter: "faults", reason }) => {
+            assert!(reason.contains("server id 99"), "{reason}")
+        }
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(cluster) => {
+            cluster.shutdown().unwrap();
+            panic!("a plan naming server 99 must not start a 20-node cluster");
+        }
+    }
 }
 
 #[test]

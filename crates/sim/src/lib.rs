@@ -16,7 +16,14 @@
 //!   replica counts, replication/migration costs (eq. 1), migration
 //!   times, load imbalance (eqs. 24–26), lookup path length, unserved
 //!   demand, alive servers.
-//! * [`simulation`] — the epoch loop for one policy.
+//! * [`kernel`] — the RFH epoch loop itself ([`EpochKernel`]): fault
+//!   injection, traffic pass, smoothing, decisions, execution through an
+//!   [`Executor`], audit. The simulator drives it with the
+//!   placement-only executor; the live controller in `rfh-serve` drives
+//!   the same kernel with one that moves data and republishes routes.
+//! * [`simulation`] — one policy's run: a kernel fed by a workload
+//!   generator or trace, plus the cluster-event schedule and the metric
+//!   series.
 //! * [`runner`] — run the four policies over identical workloads, in
 //!   parallel (crossbeam scoped threads; each run is independent and
 //!   deterministic, so parallelism cannot change results).
@@ -31,6 +38,7 @@
 
 #![warn(missing_docs)]
 
+pub mod kernel;
 pub mod metrics;
 pub mod planner;
 pub mod repair;
@@ -38,6 +46,7 @@ pub mod report;
 pub mod runner;
 pub mod simulation;
 
+pub use kernel::{Availability, EngineMode, EpochKernel, Executor, PlacementOnly};
 pub use metrics::{recovery_epochs, EpochSnapshot, Metrics};
 pub use planner::{
     link_between, LinkKey, MoveClass, MoveReq, PlanOutcome, PlannerConfig, TransferPlanner,
@@ -45,4 +54,4 @@ pub use planner::{
 pub use repair::{destination_unreachable, RepairQueue};
 pub use rfh_faults::{FaultAction, FaultPlan};
 pub use runner::{run_comparison, run_comparison_observed, ComparisonResult, ObsOptions};
-pub use simulation::{EngineMode, SimParams, SimResult, Simulation};
+pub use simulation::{SimParams, SimResult, Simulation};

@@ -15,13 +15,10 @@
 //! nonzero if any acknowledged write was lost or corrupted — the same
 //! guarantee the serve smoke tests assert, here at benchmark scale.
 //!
-//! Six arms are interleaved across [`ROUNDS`] rounds, keeping the
-//! fastest pass of each (the PR 2 `bench_obs` methodology:
-//! fastest-of-N filters scheduler noise on a shared host):
+//! Four arms are interleaved across [`ROUNDS`] rounds, keeping the
+//! fastest pass of each (the `bench_obs` methodology: fastest-of-N
+//! filters scheduler noise on a shared host):
 //!
-//! * `threaded` / `threaded_pipelined` — the thread-per-connection
-//!   plane at pipeline depth 1 and [`PIPELINE_DEPTH`], the reactor's
-//!   differential baseline;
 //! * `off` / `on` — the reactor plane with telemetry off/on (their
 //!   delta is the telemetry overhead);
 //! * `durable` — reactor with the WAL on, `checkpoint_every` sized so
@@ -35,8 +32,8 @@
 
 use rfh_faults::FaultPlan;
 use rfh_serve::{
-    run_loadgen, ArrivalMode, Cluster, ClusterConfig, DataPlane, LoadGenConfig, LoadReport,
-    PersistenceConfig, ServeSummary,
+    run_loadgen, ArrivalMode, Cluster, ClusterConfig, LoadGenConfig, LoadReport, PersistenceConfig,
+    ServeSummary,
 };
 
 /// Interleaved measurement rounds; fastest of each arm counts.
@@ -50,11 +47,7 @@ const PIPELINE_DEPTH: u64 = 8;
 /// ~250 records per shard — at 100 every busy shard checkpoints.
 const CHECKPOINT_EVERY: u64 = 100;
 
-fn cluster_config(
-    plane: DataPlane,
-    telemetry: bool,
-    persistence: Option<PersistenceConfig>,
-) -> ClusterConfig {
+fn cluster_config(telemetry: bool, persistence: Option<PersistenceConfig>) -> ClusterConfig {
     ClusterConfig {
         servers_per_rack: 3, // 10 DCs × 2 racks × 3 = 60 nodes
         partitions: 64,
@@ -64,14 +57,12 @@ fn cluster_config(
         threads: 1,
         telemetry,
         persistence,
-        data_plane: plane,
         ..ClusterConfig::default()
     }
 }
 
 /// One full pass: cluster up, chaos kill, load, verify, shutdown.
 fn run_pass(
-    plane: DataPlane,
     telemetry: bool,
     persist_dir: Option<&std::path::Path>,
     pipeline: u64,
@@ -82,7 +73,7 @@ fn run_pass(
         p
     });
     let durable = persistence.is_some();
-    let cluster_cfg = cluster_config(plane, telemetry, persistence);
+    let cluster_cfg = cluster_config(telemetry, persistence);
     // One server dies four ticks (~400 ms) into the run, while the
     // load generator is writing at full tilt.
     let plan = FaultPlan::from_toml_str("[[at]]\nepoch = 4\nfail_servers = [17]\n")
@@ -113,7 +104,7 @@ fn run_pass(
 
     if report.lost_acked_writes > 0 || report.value_mismatches > 0 {
         eprintln!(
-            "FAIL: {} lost acked writes, {} value mismatches (plane={plane:?})",
+            "FAIL: {} lost acked writes, {} value mismatches",
             report.lost_acked_writes, report.value_mismatches
         );
         std::process::exit(1);
@@ -150,12 +141,10 @@ fn arm_json(r: &LoadReport) -> String {
 fn main() {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!(
-        "60-node cluster, {ROUNDS} interleaved rounds × 6 arms \
-         (threaded ×2, reactor off/on/durable/piped), host_cpus={host_cpus}…"
+        "60-node cluster, {ROUNDS} interleaved rounds × 4 arms \
+         (telemetry off/on, durable, piped), host_cpus={host_cpus}…"
     );
     let scratch = std::env::temp_dir().join(format!("rfh-bench-wal-{}", std::process::id()));
-    let mut best_threaded: Option<(LoadReport, ServeSummary)> = None;
-    let mut best_threaded_piped: Option<(LoadReport, ServeSummary)> = None;
     let mut best_off: Option<(LoadReport, ServeSummary)> = None;
     let mut best_on: Option<(LoadReport, ServeSummary)> = None;
     let mut best_durable: Option<(LoadReport, ServeSummary)> = None;
@@ -163,20 +152,12 @@ fn main() {
     // The baseline arm's per-round throughputs, for the noise floor.
     let mut off_rounds: Vec<f64> = Vec::new();
     for round in 0..ROUNDS {
-        let pass = run_pass(DataPlane::Threaded, false, None, 1);
-        eprintln!("round {round} threaded:        {:>7.0} ops/s", pass.0.throughput);
-        keep_best(&mut best_threaded, pass);
-
-        let pass = run_pass(DataPlane::Threaded, false, None, PIPELINE_DEPTH);
-        eprintln!("round {round} threaded piped:  {:>7.0} ops/s", pass.0.throughput);
-        keep_best(&mut best_threaded_piped, pass);
-
-        let pass = run_pass(DataPlane::Reactor, false, None, 1);
+        let pass = run_pass(false, None, 1);
         eprintln!("round {round} telemetry off:   {:>7.0} ops/s", pass.0.throughput);
         off_rounds.push(pass.0.throughput);
         keep_best(&mut best_off, pass);
 
-        let pass = run_pass(DataPlane::Reactor, true, None, 1);
+        let pass = run_pass(true, None, 1);
         eprintln!("round {round} telemetry on:    {:>7.0} ops/s", pass.0.throughput);
         keep_best(&mut best_on, pass);
 
@@ -184,17 +165,15 @@ fn main() {
         // isolates the WAL), fresh directory per pass so no round
         // replays the previous round's logs.
         let _ = std::fs::remove_dir_all(&scratch);
-        let pass = run_pass(DataPlane::Reactor, false, Some(&scratch), 1);
+        let pass = run_pass(false, Some(&scratch), 1);
         eprintln!("round {round} durable:         {:>7.0} ops/s", pass.0.throughput);
         keep_best(&mut best_durable, pass);
 
-        let pass = run_pass(DataPlane::Reactor, false, None, PIPELINE_DEPTH);
+        let pass = run_pass(false, None, PIPELINE_DEPTH);
         eprintln!("round {round} reactor piped:   {:>7.0} ops/s", pass.0.throughput);
         keep_best(&mut best_piped, pass);
     }
     let _ = std::fs::remove_dir_all(&scratch);
-    let (threaded, _) = best_threaded.expect("at least one round ran");
-    let (threaded_piped, _) = best_threaded_piped.expect("at least one round ran");
     let (off, _) = best_off.expect("at least one round ran");
     let (report, summary) = best_on.expect("at least one round ran");
     let (durable, durable_summary) = best_durable.expect("at least one round ran");
@@ -209,8 +188,6 @@ fn main() {
     let overhead_raw = (off.throughput - report.throughput) / off.throughput * 100.0;
     let durable_raw = (off.throughput - durable.throughput) / off.throughput * 100.0;
     let storage = durable_summary.storage.expect("durable arm has storage counters");
-    let speedup_depth1 = off.throughput / threaded.throughput;
-    let speedup_piped = piped.throughput / threaded.throughput;
 
     let json = format!(
         "{{\n  \"cluster\": {{ \"nodes\": {}, \"partitions\": {}, \"killed_servers\": 1, \
@@ -226,9 +203,7 @@ fn main() {
          \"records_appended\": {}, \"segments_written\": {}, \
          \"checkpoints_written\": {} }},\n  \
          \"reactor\": {{ \"host_cpus\": {}, \"pipeline_depth\": {}, \
-         \"threaded\": {}, \"threaded_pipelined\": {}, \
-         \"reactor\": {}, \"reactor_pipelined\": {}, \
-         \"speedup_depth1\": {:.2}, \"speedup_pipelined\": {:.2} }},\n  \"load\": {}\n}}\n",
+         \"reactor\": {}, \"reactor_pipelined\": {} }},\n  \"load\": {}\n}}\n",
         summary.nodes,
         64,
         summary.ticks,
@@ -254,12 +229,8 @@ fn main() {
         storage.checkpoints_written,
         host_cpus,
         PIPELINE_DEPTH,
-        arm_json(&threaded),
-        arm_json(&threaded_piped),
         arm_json(&off),
         arm_json(&piped),
-        speedup_depth1,
-        speedup_piped,
         report.to_json().replace('\n', "\n  "),
     );
     std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
@@ -267,14 +238,8 @@ fn main() {
     eprint!("{}", report.render());
     eprintln!("alive at shutdown: {}/{}", summary.alive_nodes, summary.nodes);
     eprintln!(
-        "planes: threaded {:.0} ops/s (p99 {:.0} µs) → reactor {:.0} ops/s (p99 {:.0} µs, \
-         {speedup_depth1:.2}x) → reactor piped {:.0} ops/s (p99 {:.0} µs, {speedup_piped:.2}x)",
-        threaded.throughput,
-        threaded.p99_us,
-        off.throughput,
-        off.p99_us,
-        piped.throughput,
-        piped.p99_us,
+        "reactor {:.0} ops/s (p99 {:.0} µs) → reactor piped {:.0} ops/s (p99 {:.0} µs)",
+        off.throughput, off.p99_us, piped.throughput, piped.p99_us,
     );
     eprintln!(
         "telemetry overhead: {:.2}% raw (noise floor {noise_floor_pct:.2}%; off {:.0} → on {:.0} \

@@ -17,12 +17,11 @@ pub type Options = BTreeMap<String, String>;
 
 /// Options recognised anywhere (commands ignore what they don't use but
 /// typos should not pass silently).
-const KNOWN: [&str; 33] = [
+const KNOWN: [&str; 32] = [
     "persist-dir",
     "placement",
     "planner",
     "link-budget",
-    "data-plane",
     "pipeline",
     "policy",
     "scenario",
@@ -308,6 +307,9 @@ mod tests {
         assert_eq!(epochs(&opts).unwrap(), 99);
         assert_eq!(seed(&opts).unwrap(), 42, "default seed");
         assert_eq!(policy(&opts).unwrap(), PolicyKind::OwnerOriented);
+        // The reactor is the only data plane; the flag that chose one is gone.
+        let err = parse(&argv("serve --data-plane reactor")).unwrap_err().to_string();
+        assert!(err.contains("unknown option --data-plane"), "{err}");
     }
 
     #[test]

@@ -121,7 +121,7 @@ COMMON OPTIONS:
                       moves over budget defer to the next epoch with carried
                       credit, under-replicated partitions admitted first (run)
 
-SERVING OPTIONS:
+SERVING OPTIONS (serve and loadgen need Linux: nodes run on an epoll reactor):
     --config FILE         cluster TOML (serve) / loadgen TOML (loadgen)
     --duration-secs N     how long `serve` stays up             (default 10)
     --addr-file FILE      `serve` writes node addresses here for clients; if the
@@ -136,8 +136,6 @@ SERVING OPTIONS:
     --ops N               override the loadgen operation count
     --pipeline N          loadgen closed-loop pipeline depth: each worker keeps
                           up to N frames in flight per connection (default 1)
-    --data-plane P        serve/self-hosted data plane: reactor (epoll event
-                          loops, the default) or threaded (one thread per conn)
     --report FILE         write the loadgen JSON report (BENCH_serve format)
 
 TELEMETRY OPTIONS:

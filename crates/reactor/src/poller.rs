@@ -154,8 +154,9 @@ impl Drop for Poller {
     }
 }
 
-/// Non-Linux stub: the reactor data plane is epoll-only; callers fall
-/// back to the threaded plane when construction fails.
+/// Non-Linux stub: the reactor data plane is epoll-only, so
+/// construction fails with `Unsupported` and the caller's startup
+/// fails with it.
 #[cfg(not(target_os = "linux"))]
 impl Poller {
     pub fn new() -> io::Result<Poller> {

@@ -221,8 +221,7 @@ struct InflightOp {
 /// on one connection — the pipelined counterpart of [`ServeClient`].
 ///
 /// Replies correlate by order: coordinators release acks in arrival
-/// order on both data planes, so the n-th ack answers the n-th
-/// outstanding request. Traced frames double-check this by comparing
+/// order, so the n-th ack answers the n-th outstanding request. Traced frames double-check this by comparing
 /// the echoed op-ID. On a broken connection or an `Unavailable` ack the
 /// client rotates coordinators and replays the whole window — safe
 /// because puts are idempotent (LWW at a fixed `seq`) and gets are

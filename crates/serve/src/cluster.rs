@@ -3,57 +3,50 @@
 //! [`Cluster::start`] builds the scaled paper topology, places
 //! partitions on the consistent-hash ring, floor-replicates them to
 //! `r_min` copies (so a single-server kill never strands a partition),
-//! then turns every topology server into a node thread behind its own
-//! loopback TCP listener and starts the online control loop.
+//! then serves every topology server from its own loopback TCP listener
+//! on the epoll reactor data plane and starts the online control loop.
 //!
-//! ## Shared state and locking
+//! ## Shared state and the route-epoch invariant
 //!
-//! The data plane (node threads) and the control plane (the RFH loop)
-//! meet in [`Shared`]:
+//! The data plane (the reactor threads) and the control plane (the one
+//! control thread running the RFH loop) meet in [`Shared`]:
 //!
 //! * `alive[i]` — fail-stop flags; a killed node accepts connections
 //!   and immediately drops them, and serves nothing.
 //! * `routes` — the published replica map (partition → servers, holder
-//!   first), read per request, rewritten by the control loop.
-//! * `locks[p]` — one mutex per partition. A threaded-plane
-//!   coordinator holds it for the whole write-all-replicas sequence;
-//!   the control loop holds it while copying partition data and
-//!   republishing the route. This is what makes "zero lost
-//!   acknowledged writes" provable: no write can slip between a
-//!   transfer's copy and its route flip.
-//! * `route_epochs[p]` — one atomic epoch per partition, even when
-//!   the route is stable, odd while a transfer holds `locks[p]`. The
-//!   reactor plane cannot park an event loop on a mutex across peer
-//!   round-trips, so it proves the same no-slip property optimistically:
-//!   a put defers while the epoch is odd, snapshots the even value,
-//!   writes all live replicas, and acks only if the epoch is still the
-//!   snapshot — otherwise a transfer raced it and the attempt restarts.
-//!   The control loop bumps to odd (under the lock) before copying and
-//!   publishes +2 after the route flip, so the validation window
-//!   brackets exactly the critical section the mutex covers.
+//!   first), read per request, rewritten only by the control thread.
+//! * `route_epochs[p]` — one atomic epoch per partition: even while the
+//!   route is stable, odd while the control thread moves the partition.
+//!   This is what makes "zero lost acknowledged writes" provable. The
+//!   control thread flips the epoch odd before copying partition data
+//!   and settles it at the next even value after republishing the
+//!   route; a put snapshots an even epoch, writes every live replica,
+//!   and acks only if the epoch is still the snapshot. A write can
+//!   therefore never be acknowledged if it slipped between a
+//!   transfer's copy and its route flip — it restarts against the new
+//!   route instead.
 //! * `load` — the live `q_ijt` counters ([`rfh_workload::SharedLoad`])
 //!   the control loop drains into the real `TrafficEngine`.
 //!
-//! Lock order is always partition lock → store mutex; forward handlers
-//! touch only their own store, so no cycle exists.
+//! There is no partition lock: only the control thread changes routes
+//! and epochs, so it has nothing to exclude, and the data plane
+//! validates against the epoch instead of waiting on it.
 
 use crate::config::ClusterConfig;
 use crate::control::{control_kernel, ControlStats, Controller};
 use crate::http;
-use crate::node;
 use crate::store::{partition_of, NodeStore, Versioned};
 use crate::telemetry::{ClusterTelemetry, TickSample};
 use crate::wal::StorageSnapshot;
-use crate::wire::Conn;
 use rfh_faults::FaultPlan;
 use rfh_obs::{MetricsRegistry, SpanLog};
 use rfh_sim::EpochKernel;
 use rfh_types::{PartitionId, Result, RfhError, ServerId};
 use rfh_workload::SharedLoad;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 
 /// Monotonic counters the data plane bumps per request.
@@ -73,9 +66,9 @@ pub struct Counters {
     pub acks_unavailable: AtomicU64,
 }
 
-/// State shared between node threads and the control loop.
+/// State shared between the reactor threads and the control loop.
 pub(crate) struct Shared {
-    /// Partition count (shape of `routes`, `locks`, `load`).
+    /// Partition count (shape of `routes`, `route_epochs`, `load`).
     pub partitions: u32,
     /// Node index → datacenter id.
     pub dc_of: Vec<u32>,
@@ -83,26 +76,21 @@ pub(crate) struct Shared {
     pub alive: Vec<AtomicBool>,
     /// Published replica sets, holder first.
     pub routes: RwLock<Vec<Vec<ServerId>>>,
-    /// Per-partition route epochs for the reactor plane's optimistic
-    /// writes. Even = route stable; odd = a transfer for the partition
-    /// is in progress (the control loop stores odd before copying,
-    /// bumps to the next even when it republishes). A reactor
-    /// coordinator snapshots an even epoch before writing and acks only
-    /// if the epoch is unchanged once every replica landed — any route
-    /// flip in between forces a (LWW-idempotent) restart, which is how
-    /// the plane proves zero lost acknowledged writes without holding
-    /// the partition lock across peer round-trips.
+    /// Per-partition route epochs for optimistic writes. Even = route
+    /// stable; odd = a transfer for the partition is in progress (the
+    /// control loop stores odd before copying, bumps to the next even
+    /// when it republishes). A coordinator snapshots an even epoch
+    /// before writing and acks only if the epoch is unchanged once
+    /// every replica landed — any route flip in between forces a
+    /// (LWW-idempotent) restart, which is how the data plane proves
+    /// zero lost acknowledged writes without a lock.
     pub route_epochs: Vec<AtomicU64>,
-    /// Per-partition mutex serializing writes against transfers.
-    pub locks: Vec<Mutex<()>>,
     /// Live `q_ijt` counters.
     pub load: SharedLoad,
     /// Per-node shard maps.
     pub stores: Vec<NodeStore>,
     /// Listener address of each node.
     pub addrs: Vec<SocketAddr>,
-    /// Per-source-node pools of idle peer connections.
-    pub peers: Vec<Mutex<HashMap<usize, Vec<Conn<TcpStream>>>>>,
     /// Request counters.
     pub counters: Counters,
     /// The telemetry plane (no per-node state when disabled).
@@ -132,11 +120,9 @@ impl Shared {
                 (0..partitions).map(|p| manager.replicas(PartitionId::new(p)).to_vec()).collect(),
             ),
             route_epochs: (0..partitions).map(|_| AtomicU64::new(0)).collect(),
-            locks: (0..partitions).map(|_| Mutex::new(())).collect(),
             load: SharedLoad::zeros(partitions, topo.datacenters().len() as u32),
             stores,
             addrs,
-            peers: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
             counters: Counters::default(),
             telemetry: if telemetry {
                 ClusterTelemetry::on(n, partitions)
@@ -163,7 +149,7 @@ impl Shared {
     }
 
     /// Mark a route change as in progress: flip the epoch odd. Called
-    /// by the control loop under the partition lock, before copying.
+    /// by the control loop before copying.
     pub fn begin_route_change(&self, p: PartitionId) {
         self.route_epochs[p.index()].fetch_or(1, Ordering::SeqCst);
     }
@@ -313,12 +299,8 @@ impl ServeSummary {
 pub struct Cluster {
     shared: Arc<Shared>,
     infos: Vec<NodeInfo>,
-    /// Threaded-plane accept threads (empty under the reactor plane).
-    listeners: Vec<JoinHandle<()>>,
-    /// Threaded-plane connection handlers (empty under the reactor plane).
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    /// The epoll data plane, when `data_plane = "reactor"`.
-    reactor: Option<crate::reactor::ReactorPlane>,
+    /// The epoll data plane.
+    reactor: crate::reactor::ReactorPlane,
     control: JoinHandle<Result<ControlStats>>,
     /// Per-node `/metrics` endpoints (empty when telemetry is off).
     metrics_addrs: Vec<SocketAddr>,
@@ -367,7 +349,7 @@ impl Cluster {
                 });
             }
         }
-        let mut listeners_raw = Vec::with_capacity(n);
+        let mut listeners = Vec::with_capacity(n);
         let mut addrs = Vec::with_capacity(n);
         for i in 0..n {
             let want = match bind_addrs {
@@ -378,7 +360,7 @@ impl Cluster {
                 .map_err(|e| RfhError::Io(format!("bind loopback listener {want}: {e}")))?;
             l.set_nonblocking(true).map_err(|e| RfhError::Io(e.to_string()))?;
             addrs.push(l.local_addr().map_err(|e| RfhError::Io(e.to_string()))?);
-            listeners_raw.push(l);
+            listeners.push(l);
         }
 
         // Durable mode: open (and recover) every node's WAL before the
@@ -419,31 +401,8 @@ impl Cluster {
             })
             .collect();
 
-        let handlers = Arc::new(Mutex::new(Vec::new()));
-        let mut listeners = Vec::new();
-        let mut reactor = None;
-        // The reactor plane is epoll-only; elsewhere the config value
-        // silently degrades to the (portable) threaded plane.
-        let use_reactor =
-            config.data_plane == crate::config::DataPlane::Reactor && cfg!(target_os = "linux");
-        if use_reactor {
-            reactor = Some(
-                crate::reactor::ReactorPlane::start(Arc::clone(&shared), listeners_raw)
-                    .map_err(|e| RfhError::Io(format!("start reactor plane: {e}")))?,
-            );
-        } else {
-            listeners.reserve(n);
-            for (i, l) in listeners_raw.into_iter().enumerate() {
-                let shared = Arc::clone(&shared);
-                let handlers = Arc::clone(&handlers);
-                listeners.push(
-                    std::thread::Builder::new()
-                        .name(format!("rfh-node-{i}"))
-                        .spawn(move || node::run_listener(i, l, shared, handlers))
-                        .map_err(|e| RfhError::Io(format!("spawn node thread: {e}")))?,
-                );
-            }
-        }
+        let reactor = crate::reactor::ReactorPlane::start(Arc::clone(&shared), listeners)
+            .map_err(|e| RfhError::Io(format!("start reactor plane: {e}")))?;
 
         // Telemetry exposition: one tiny HTTP/1.0 endpoint per node
         // plus one for the controller. Disabled ⇒ nothing binds and no
@@ -500,8 +459,6 @@ impl Cluster {
         Ok(Cluster {
             shared,
             infos,
-            listeners,
-            handlers,
             reactor,
             control,
             metrics_addrs,
@@ -580,26 +537,18 @@ impl Cluster {
         self.shared.telemetry.timeline_jsonl()
     }
 
-    /// Stop everything: control loop first (one final tick), then
-    /// listeners and handlers. Returns the run's accounting.
+    /// Stop everything: control loop first (one final tick), then the
+    /// data plane and the metrics endpoints. Returns the run's
+    /// accounting.
     pub fn shutdown(self) -> Result<ServeSummary> {
         self.shared.shutdown.store(true, Ordering::Release);
         let control = self
             .control
             .join()
             .map_err(|_| RfhError::Simulation("control loop panicked".into()))?;
-        for h in self.listeners {
-            h.join().map_err(|_| RfhError::Simulation("node listener panicked".into()))?;
-        }
-        if let Some(plane) = self.reactor {
-            plane.shutdown()?;
-        }
+        self.reactor.shutdown()?;
         for h in self.http_threads {
             h.join().map_err(|_| RfhError::Simulation("metrics endpoint panicked".into()))?;
-        }
-        let handlers = std::mem::take(&mut *self.handlers.lock().expect("handlers lock"));
-        for h in handlers {
-            h.join().map_err(|_| RfhError::Simulation("connection handler panicked".into()))?;
         }
         // A control loop that stopped on a kernel error fails the run,
         // after the data plane has been torn down like any other.
@@ -716,8 +665,9 @@ fn reconcile_recovered(
 /// libc symbols std itself links. Accepted connections inherit the
 /// flag; without it on *both* incarnations' sockets, a process
 /// restarted after `SIGKILL` cannot rebind its old port until the
-/// kernel retires the dead incarnation's `TIME-WAIT` entries.
-#[cfg(unix)]
+/// kernel retires the dead incarnation's `TIME-WAIT` entries. The
+/// socket constants and the `sockaddr_in` layout are Linux's.
+#[cfg(target_os = "linux")]
 fn bind_reuseaddr(addr: SocketAddr) -> std::io::Result<TcpListener> {
     use std::os::fd::FromRawFd;
 
@@ -774,8 +724,9 @@ fn bind_reuseaddr(addr: SocketAddr) -> std::io::Result<TcpListener> {
     }
 }
 
-/// Non-unix fallback: a plain bind (no restart-rebind guarantee).
-#[cfg(not(unix))]
+/// Off Linux: a plain bind (no restart-rebind guarantee). The data
+/// plane itself is Linux-only, so startup fails at the reactor next.
+#[cfg(not(target_os = "linux"))]
 fn bind_reuseaddr(addr: SocketAddr) -> std::io::Result<TcpListener> {
     TcpListener::bind(addr)
 }

@@ -8,19 +8,15 @@ use rfh_sim::PlannerConfig;
 use rfh_types::toml::{self, BlockKind, TomlBlock, TomlDoc};
 use rfh_types::{Result, RfhError, SimConfig};
 
-/// Which connection-handling substrate the cluster's node listeners
-/// run on. Both planes speak the identical wire protocol and share the
-/// coordination logic — the choice is an operational one.
+/// The data plane the cluster serves on. The epoll reactor is the only
+/// one; this one-value enum and [`ClusterConfig::data_plane`] remain
+/// only because the repository benchmark (`perfbench/`) still names
+/// `DataPlane::Reactor` literally, and go with its next change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataPlane {
-    /// One OS thread per node listener plus one per accepted
-    /// connection. Simple, and the differential baseline the reactor
-    /// plane is tested against.
-    Threaded,
     /// All node listeners multiplexed onto a small pool of epoll
     /// reactor threads (`min(cores, 4)`), with pipelined connections
-    /// and multiplexed peer channels. Linux-only; construction falls
-    /// back to [`DataPlane::Threaded`] elsewhere.
+    /// and multiplexed peer channels. Linux-only.
     Reactor,
 }
 
@@ -55,7 +51,8 @@ pub struct ClusterConfig {
     /// the default, and what every pre-existing config parses to — runs
     /// purely in memory, byte-identical to a build without the WAL.
     pub persistence: Option<PersistenceConfig>,
-    /// Connection-handling substrate for the node listeners.
+    /// Always [`DataPlane::Reactor`]; kept only for the benchmark's
+    /// struct literal (see [`DataPlane`]).
     pub data_plane: DataPlane,
     /// Replica-placement ordering for the online RFH policy:
     /// [`PlacementMode::Traffic`] (the paper's, default) or
@@ -146,7 +143,6 @@ impl ClusterConfig {
     /// capacity_spread = 0.25
     /// threads = 1
     /// telemetry = true
-    /// data_plane = "reactor"   # or "threaded"
     /// placement = "traffic"    # or "domain-spread"
     /// link_budget_bytes = 1048576   # per-WAN-link per-tick; absent = greedy
     ///
@@ -225,13 +221,6 @@ impl ClusterConfig {
                 "telemetry" => {
                     cfg.telemetry =
                         val.as_bool().ok_or_else(|| e("telemetry wants true or false".into()))?
-                }
-                "data_plane" => {
-                    cfg.data_plane = match val.as_str() {
-                        Some("threaded") => DataPlane::Threaded,
-                        Some("reactor") => DataPlane::Reactor,
-                        _ => return Err(e("data_plane wants \"threaded\" or \"reactor\"".into())),
-                    }
                 }
                 "placement" => {
                     cfg.placement = match val.as_str() {
@@ -569,11 +558,14 @@ mod tests {
     #[test]
     fn data_plane_and_pipeline_keys_parse() {
         assert_eq!(ClusterConfig::default().data_plane, DataPlane::Reactor);
-        let c = ClusterConfig::from_toml_str("data_plane = \"threaded\"\n").unwrap();
-        assert_eq!(c.data_plane, DataPlane::Threaded);
-        let c = ClusterConfig::from_toml_str("data_plane = \"reactor\"\n").unwrap();
-        assert_eq!(c.data_plane, DataPlane::Reactor);
-        assert!(ClusterConfig::from_toml_str("data_plane = \"green\"\n").is_err());
+        // The reactor is the only data plane: the key is gone, whatever
+        // its value.
+        for plane in ["threaded", "reactor", "green"] {
+            let err = ClusterConfig::from_toml_str(&format!("data_plane = \"{plane}\"\n"))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("unknown serve key \"data_plane\""), "{err}");
+        }
 
         assert_eq!(LoadGenConfig::default().pipeline, 1);
         let l = LoadGenConfig::from_toml_str("pipeline = 8\n").unwrap();

@@ -16,8 +16,7 @@
 //! 5. run the kernel's epoch over it — traffic pass, EWMA smoothing,
 //!    Erlang-B blocking, the policy's decisions, deferred repairs and
 //!    the transfer planner, audit — with every admitted action executed
-//!    as partition lock → route epoch odd → manager apply → data copy →
-//!    route publish;
+//!    as route epoch odd → manager apply → data copy → route publish;
 //! 6. record the tick sample and republish the registry.
 //!
 //! The loop is paced by wall-clock, so a live run is *not*
@@ -309,11 +308,11 @@ struct LiveExecutor {
 }
 
 impl Executor for LiveExecutor {
-    /// Partition lock → route epoch odd → control-plane apply → data
-    /// copy → route publish. Holding the lock for the whole sequence
-    /// means no client write can land between the copy and the new
-    /// route; the odd epoch tells a reactor-plane writer whose replica
-    /// set may straddle the transfer to retry instead of acking.
+    /// Route epoch odd → control-plane apply → data copy → route
+    /// publish (epoch even again). A client write whose replica set may
+    /// straddle the copy sees the epoch move and retries against the
+    /// new route instead of acking, so no acknowledged write can miss
+    /// the new replica.
     fn apply(
         &mut self,
         manager: &mut ReplicaManager,
@@ -323,7 +322,6 @@ impl Executor for LiveExecutor {
         policy: &'static str,
     ) -> Result<AppliedAction> {
         let p = action.partition();
-        let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
         let old_route = self.shared.route(p);
         self.shared.begin_route_change(p);
         let applied = match manager.apply_recorded(topo, action, recorder, policy) {
@@ -383,7 +381,6 @@ impl Executor for LiveExecutor {
     }
 
     fn restored(&mut self, manager: &ReplicaManager, p: PartitionId) {
-        let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
         if let Some(&to) = manager.replicas(p).first() {
             let entries = self.archive_snapshot(p);
             self.shared.stores[to.index()].merge(&entries);
@@ -393,7 +390,6 @@ impl Executor for LiveExecutor {
     }
 
     fn republish(&mut self, manager: &ReplicaManager, p: PartitionId) {
-        let _guard = self.shared.locks[p.index()].lock().expect("partition lock");
         self.publish(manager, p);
     }
 
@@ -437,8 +433,7 @@ impl LiveExecutor {
     }
 
     /// Republish one partition's route row from the replica map, then
-    /// settle its route epoch at the next even value. Caller holds the
-    /// partition lock.
+    /// settle its route epoch at the next even value.
     fn publish(&self, manager: &ReplicaManager, p: PartitionId) {
         self.shared.routes.write().expect("routes lock")[p.index()] = manager.replicas(p).to_vec();
         self.shared.end_route_change(p);

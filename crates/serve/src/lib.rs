@@ -3,8 +3,9 @@
 //! A live key-value serving runtime on the RFH stack: the offline
 //! simulator's control plane (ring placement, `TrafficEngine`
 //! accounting, the real `RfhPolicy`, fault injection, repair queue,
-//! invariant auditor) driving a real cluster of node threads behind
-//! loopback TCP listeners.
+//! invariant auditor) driving a real cluster of nodes behind loopback
+//! TCP listeners, served by an epoll reactor (Linux only; the offline
+//! simulator has no such requirement).
 //!
 //! * [`wire`] — the length-prefixed binary protocol
 //!   (get/put/forward/ack).
@@ -12,7 +13,8 @@
 //! * [`wal`] — the optional log-structured durable backend: per-shard
 //!   segment logs, checkpoints, and torn-tail-truncating recovery.
 //! * [`cluster`] — startup, shared state, clean shutdown.
-//! * `node` (internal) — listener/handler threads: the data plane.
+//! * `reactor` (internal) — the epoll data plane: pipelined client
+//!   connections, request coordination and peer forwards.
 //! * `control` (internal) — the online RFH loop: the simulator's
 //!   `rfh_sim::EpochKernel` ticked on live counters, with an executor
 //!   that copies partition data and republishes routes; its lifetime
@@ -40,7 +42,6 @@ pub mod config;
 mod control;
 pub mod http;
 pub mod loadgen;
-mod node;
 mod reactor;
 pub mod store;
 pub mod telemetry;

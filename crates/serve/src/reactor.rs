@@ -1,29 +1,39 @@
-//! The epoll reactor data plane.
+//! The data plane: an epoll reactor serving every node.
 //!
 //! All node listeners multiplex onto a small pool of reactor threads
 //! (`min(cores, 4)`); every accepted connection is nonblocking and
 //! pipelined — a client may keep many frames in flight, and replies are
 //! released strictly in arrival order so an untraced pipeline
 //! correlates acks by position (traced frames additionally echo their
-//! op-ID). At pipeline depth 1 the wire traffic is frame-for-frame
-//! identical to the threaded plane's.
+//! op-ID). At pipeline depth 1 this is plain request/ack, which is all
+//! the blocking `ServeClient` speaks.
 //!
-//! ## Coordination without the partition lock
+//! A node that receives a client `Get`/`Put` acts as the *coordinator*:
+//! it charges the request to `q_ijt` at its own datacenter (the
+//! requester column the traffic equations use) and reads or writes the
+//! published replica set, forwarding to peer nodes over the same wire
+//! protocol when a replica lives elsewhere. Forwarded requests touch
+//! only the receiving node's store.
 //!
-//! The threaded plane proves "zero lost acknowledged writes" by holding
-//! the partition mutex across the whole write-all-replicas sequence,
-//! peer round-trips included. An event loop cannot block like that, so
-//! this plane validates optimistically against the per-partition
-//! **route epoch** (see `Shared::route_epochs`): a put snapshots an
-//! even epoch, writes every live replica of the snapshotted route
+//! ## Zero lost acknowledged writes: the route-epoch invariant
+//!
+//! A put acks only once it has landed on **every live replica of a
+//! route that did not change while it was written**. Each partition
+//! carries a route epoch (see `Shared::route_epochs`): even while the
+//! route is stable, odd while the control loop moves the partition.
+//! The control loop flips the epoch odd *before* it copies the
+//! partition onto a new replica and settles it at the next even value
+//! only *after* it republished the route. A put therefore snapshots an
+//! even epoch, writes every live replica of the route it then reads
 //! (local stores directly, remote ones over multiplexed peer channels),
-//! and acks only if the epoch is still exactly that value afterwards.
-//! The control loop flips the epoch odd before copying a partition and
-//! settles it at the next even value when it republishes the route, so
-//! any write racing a transfer fails validation and restarts against
-//! the new route — idempotent, because replicas keep the highest seq
-//! per key. An odd epoch at snapshot time defers the put briefly
-//! instead of writing into a moving route.
+//! and acks only if the epoch still equals the snapshot. If it does,
+//! no copy-then-flip began or ended during the write: either the write
+//! landed before the copy started (so the copy carried it to the new
+//! replica) or the route it wrote is still the published one. If it
+//! does not, the attempt restarts against the new route — idempotent,
+//! because replicas keep the highest seq per key. An odd epoch at
+//! snapshot time defers the put briefly instead of writing into a
+//! moving route; the deferral is the request's queue phase.
 //!
 //! Gets never validate: transfers only ever *add* data and routes are
 //! republished after the copy, so both the pre- and post-flip replica
@@ -32,28 +42,27 @@
 //! ## Peer channels
 //!
 //! Coordinator → replica forwards share one nonblocking connection per
-//! (coordinator node, peer node) pair per reactor thread, replacing the
-//! threaded plane's blocking connection pool. Replies correlate by FIFO
-//! order: the replica serves forwards synchronously in arrival order,
-//! so the n-th ack on a channel answers the n-th outstanding ticket.
-//! Op-IDs still ride traced forwards — they are the *span-chain*
-//! correlation token, not the transport's. A channel that errors,
-//! closes, or dawdles past the peer timeout fails all its tickets
-//! (gets walk on to the next replica; puts treat it as a failed write
-//! to that replica) and is re-established on next use.
+//! (coordinator node, peer node) pair per reactor thread. Replies
+//! correlate by FIFO order: the replica serves forwards synchronously
+//! in arrival order, so the n-th ack on a channel answers the n-th
+//! outstanding ticket. Op-IDs still ride traced forwards — they are
+//! the *span-chain* correlation token, not the transport's. A channel
+//! that errors, closes, or dawdles past the peer timeout fails all its
+//! tickets (gets walk on to the next replica; puts treat it as a failed
+//! write to that replica) and is re-established on next use.
 
 #![allow(clippy::too_many_arguments)]
 
 use crate::cluster::Shared;
-use crate::node::{self, PhaseAcc};
 use crate::store::partition_of;
-use crate::telemetry::ReqKind;
+use crate::telemetry::{PhaseTimings, ReqKind};
 use crate::wire::{AckStatus, Frame, MAX_FRAME};
+use rfh_obs::SpanEvent;
 use rfh_types::{DatacenterId, Result, RfhError, ServerId};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -91,8 +100,25 @@ const MAX_RESTARTS: u32 = 32;
 /// if the waker write itself were lost.
 const MAX_IDLE: Duration = Duration::from_millis(100);
 
-/// The running reactor pool. Created by `Cluster::start_bound` when
-/// `data_plane = "reactor"`; joined at cluster shutdown.
+/// How long a forward may wait for its replica's ack before the peer
+/// channel is failed.
+const PEER_TIMEOUT: Duration = Duration::from_millis(2_000);
+
+/// Cluster-wide connection counter; a connection's id picks its
+/// telemetry shard, spreading concurrent connections over the shards.
+static CONN_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Queue (time parked behind an odd route epoch) and forward (union of
+/// peer round-trip stretches) time of one request, accumulated along
+/// the serve path; the handle phase is total minus both.
+#[derive(Default)]
+struct PhaseAcc {
+    queue_us: f64,
+    forward_us: f64,
+}
+
+/// The running reactor pool. Created by `Cluster::start_bound`; joined
+/// at cluster shutdown.
 pub(crate) struct ReactorPlane {
     threads: Vec<JoinHandle<()>>,
     wakers: Vec<Waker>,
@@ -471,7 +497,7 @@ impl Reactor {
                     self.gen_seq += 1;
                     let conn = ClientConn {
                         node,
-                        conn_id: node::next_conn_id(),
+                        conn_id: CONN_SEQ.fetch_add(1, Ordering::Relaxed),
                         gen: self.gen_seq,
                         stream,
                         reader: FrameReader::new(MAX_FRAME),
@@ -534,9 +560,9 @@ impl Reactor {
             }
         }
         if eof {
-            // The client finished sending. Like the threaded plane we
-            // stop serving it, but let already-pipelined work drain:
-            // replies still flush, and the conn closes once idle.
+            // The client finished sending: stop reading from it, but
+            // let already-pipelined work drain — replies still flush,
+            // and the conn closes once idle.
             let done = {
                 let Some(Entry::Client(c)) = self.entries.get_mut(slot).and_then(Option::as_mut)
                 else {
@@ -627,10 +653,9 @@ impl Reactor {
                 self.start_put(op);
             }
             // Forwards (and unsolicited acks) are local-only and
-            // synchronous — the exact threaded-plane handler serves
-            // them, telemetry tail included.
+            // synchronous.
             other => {
-                let reply = node::serve_frame(node, conn_id, other, op_id, &self.shared);
+                let reply = serve_forward(node, conn_id, other, op_id, &self.shared);
                 let Some(Entry::Client(c)) = self.entries.get_mut(slot).and_then(Option::as_mut)
                 else {
                     return false;
@@ -662,10 +687,12 @@ impl Reactor {
     // ---- get state machine ----------------------------------------
 
     /// Walk the get's candidate list until a replica answers, a forward
-    /// is in flight, or the list is exhausted. Mirrors the threaded
-    /// coordinator: dead replicas are skipped, a local replica answers
-    /// from the store, any ack from a peer is the answer, and a broken
-    /// channel just moves on to the next candidate.
+    /// is in flight, or the list is exhausted. Dead replicas are
+    /// skipped, a local replica answers from the store, any ack from a
+    /// peer is the answer, and a broken channel just moves on to the
+    /// next candidate. Every current replica holds the full partition
+    /// (writes go to all live replicas; transfers copy whole
+    /// partitions), so the first live answer is authoritative.
     fn advance_get(&mut self, op: OpRef) {
         loop {
             let (next, node, key, origin, op_id) = {
@@ -790,7 +817,7 @@ impl Reactor {
     /// replica acked Ok; anything else (bad ack, broken channel, peer
     /// timeout) counts as a failed write to that replica, fatal only if
     /// the replica still looks alive — a replica that died mid-write is
-    /// the control loop's to repair, exactly as in the threaded plane.
+    /// the control loop's to repair, like one dead at write time.
     fn note_put_result(&mut self, op: OpRef, target: ServerId, ok: bool) {
         let alive = self.shared.is_alive(target.index());
         let finished = {
@@ -850,31 +877,36 @@ impl Reactor {
     /// Record the op's telemetry and span, count its ack, mark it
     /// ready, and release any front-complete prefix of the pipeline.
     fn complete(&mut self, op: OpRef, reply: Frame) {
-        let (node, conn_id, kind, op_id, total_us, phases) = {
-            let Some(Entry::Client(c)) = self.entries.get_mut(op.slot).and_then(Option::as_mut)
-            else {
-                return;
-            };
-            if c.gen != op.gen {
-                return;
-            }
-            let (node, conn_id) = (c.node, c.conn_id);
-            let Some(pend) = c.pending.iter_mut().find(|p| p.op_seq == op.op_seq) else {
-                return;
-            };
-            let phases = std::mem::take(&mut pend.phases);
-            pend.state = OpState::Ready;
-            pend.reply = Some(reply.clone());
-            (node, conn_id, pend.kind, pend.op_id, pend.t0.elapsed().as_micros() as f64, phases)
+        let Some(Entry::Client(c)) = self.entries.get_mut(op.slot).and_then(Option::as_mut) else {
+            return;
         };
-        node::count_ack(&self.shared, &reply);
-        node::record_request(&self.shared, node, conn_id, kind, op_id, total_us, &phases, &reply);
+        if c.gen != op.gen {
+            return;
+        }
+        let (node, conn_id) = (c.node, c.conn_id);
+        let Some(pend) = c.pending.iter_mut().find(|p| p.op_seq == op.op_seq) else {
+            return;
+        };
+        let total_us = pend.t0.elapsed().as_micros() as f64;
+        count_ack(&self.shared, &reply);
+        record_request(
+            &self.shared,
+            node,
+            conn_id,
+            pend.kind,
+            pend.op_id,
+            total_us,
+            &pend.phases,
+            &reply,
+        );
+        pend.state = OpState::Ready;
+        pend.reply = Some(reply);
         self.release(op.slot);
     }
 
     /// Flush the front-complete prefix of a connection's pipeline into
-    /// its write queue. In-order release is what keeps depth-1 behaviour
-    /// identical to the threaded plane and lets untraced pipelined
+    /// its write queue. In-order release is what lets depth-1 clients
+    /// treat the connection as plain request/ack and untraced pipelined
     /// clients correlate acks by position.
     fn release(&mut self, slot: usize) {
         let Some(Entry::Client(c)) = self.entries.get_mut(slot).and_then(Option::as_mut) else {
@@ -1061,7 +1093,7 @@ impl Reactor {
         for (slot, entry) in self.entries.iter().enumerate() {
             if let Some(Entry::Peer(ch)) = entry {
                 if let Some(t) = ch.tickets.front() {
-                    if now.duration_since(t.sent_at) > node::PEER_TIMEOUT {
+                    if now.duration_since(t.sent_at) > PEER_TIMEOUT {
                         expired.push(slot);
                     }
                 }
@@ -1151,6 +1183,100 @@ impl Reactor {
         self.free.push(slot);
         // In-flight tickets referencing this conn resolve to nothing:
         // slot generations make their completions no-ops.
+    }
+}
+
+/// Serve one frame that needs no coordination: a forward touches only
+/// the local shard (the coordinator already charged `q_ijt` at the
+/// origin datacenter). Anything else here is an unsolicited frame — a
+/// protocol violation answered with Unavailable rather than crashing
+/// the loop.
+fn serve_forward(
+    node: usize,
+    conn_id: u64,
+    frame: Frame,
+    op_id: Option<u64>,
+    shared: &Shared,
+) -> Frame {
+    let t0 = Instant::now();
+    let (kind, reply) = match frame {
+        Frame::ForwardGet { key, origin_dc: _ } => (
+            ReqKind::ForwardGet,
+            match shared.stores[node].get(key) {
+                Some(v) => Frame::Ack { status: AckStatus::Ok, seq: v.seq, value: v.value },
+                None => Frame::Ack { status: AckStatus::NotFound, seq: 0, value: Vec::new() },
+            },
+        ),
+        Frame::ForwardPut { key, seq, origin_dc: _, value } => {
+            // An older seq losing LWW is still success: the store
+            // holds a version at least as new as the write.
+            let _ = shared.stores[node].put(key, seq, &value);
+            (ReqKind::ForwardPut, Frame::Ack { status: AckStatus::Ok, seq, value: Vec::new() })
+        }
+        _ => return Frame::Ack { status: AckStatus::Unavailable, seq: 0, value: Vec::new() },
+    };
+    let total_us = t0.elapsed().as_micros() as f64;
+    record_request(shared, node, conn_id, kind, op_id, total_us, &PhaseAcc::default(), &reply);
+    reply
+}
+
+/// The per-request telemetry tail: fold the phase split into the node's
+/// histograms and, when the request was sampled, append its span to the
+/// chain.
+fn record_request(
+    shared: &Shared,
+    node: usize,
+    conn_id: u64,
+    kind: ReqKind,
+    op_id: Option<u64>,
+    total_us: f64,
+    phases: &PhaseAcc,
+    reply: &Frame,
+) {
+    let timings = PhaseTimings {
+        queue_us: phases.queue_us,
+        forward_us: phases.forward_us,
+        handle_us: (total_us - phases.queue_us - phases.forward_us).max(0.0),
+    };
+    if let Some(tel) = shared.telemetry.node(node) {
+        tel.record(conn_id, kind, timings);
+    }
+    if let Some(id) = op_id {
+        let role = match kind {
+            ReqKind::Get | ReqKind::Put => "coordinate",
+            ReqKind::ForwardGet | ReqKind::ForwardPut => "forward",
+        };
+        shared.telemetry.spans().record(SpanEvent {
+            op_id: id,
+            role,
+            node: node as i64,
+            dc: shared.dc_of[node],
+            kind: kind.as_str(),
+            queue_us: timings.queue_us,
+            handle_us: timings.handle_us,
+            forward_us: timings.forward_us,
+            status: ack_status_str(reply),
+        });
+    }
+}
+
+fn ack_status_str(frame: &Frame) -> &'static str {
+    match frame {
+        Frame::Ack { status: AckStatus::Ok, .. } => "ok",
+        Frame::Ack { status: AckStatus::NotFound, .. } => "not_found",
+        _ => "unavailable",
+    }
+}
+
+/// Count one coordinated op's ack by status.
+fn count_ack(shared: &Shared, ack: &Frame) {
+    if let Frame::Ack { status, .. } = ack {
+        let counter = match status {
+            AckStatus::Ok => &shared.counters.acks_ok,
+            AckStatus::NotFound => &shared.counters.acks_not_found,
+            AckStatus::Unavailable => &shared.counters.acks_unavailable,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 

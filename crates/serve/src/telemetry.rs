@@ -1,16 +1,18 @@
 //! The serve telemetry plane: server-side phase histograms, the
 //! controller's time-series ring, and the `rfh watch` dashboard model.
 //!
-//! Everything here is measured **where the work happens** — in the node
-//! threads and the control loop — not at the client. Per request the
-//! data plane records three phases:
+//! Everything here is measured **where the work happens** — in the
+//! reactor threads and the control loop — not at the client. Per
+//! request the data plane records three phases:
 //!
-//! * **queue** — time spent waiting on the partition lock,
-//! * **forward** — summed peer round-trips issued by the coordinator,
+//! * **queue** — time a put spent parked behind a partition transfer
+//!   (an odd route epoch),
+//! * **forward** — wall time with at least one peer round-trip
+//!   outstanding (overlapping fan-out forwards count once),
 //! * **handle** — everything else (local store work, framing).
 //!
 //! Recording is mutex-sharded: each connection hashes onto one of
-//! [`TELEMETRY_SHARDS`] shards, so concurrent handlers rarely contend
+//! [`TELEMETRY_SHARDS`] shards, so concurrent connections rarely contend
 //! on the same lock. Request counters and per-partition hit counters
 //! are plain relaxed atomics. With telemetry disabled no shard exists
 //! and the per-request cost is one branch.

@@ -13,7 +13,7 @@
 //! length — no inner length word to disagree with the outer one.
 //!
 //! The protocol is deliberately tiny: clients speak [`Frame::Get`] /
-//! [`Frame::Put`], nodes forward to replica peers with
+//! [`Frame::Put`], coordinators forward to the other replicas with
 //! [`Frame::ForwardGet`] / [`Frame::ForwardPut`] (tagged with the
 //! requester's datacenter so traffic attribution survives the hop), and
 //! every request is answered by exactly one [`Frame::Ack`].

@@ -7,8 +7,8 @@ use std::path::{Path, PathBuf};
 
 use rfh_faults::FaultPlan;
 use rfh_serve::{
-    run_loadgen, ArrivalMode, Cluster, ClusterConfig, DataPlane, GetOutcome, LoadGenConfig,
-    PersistenceConfig, ServeClient,
+    run_loadgen, ArrivalMode, Cluster, ClusterConfig, GetOutcome, LoadGenConfig, PersistenceConfig,
+    ServeClient,
 };
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -27,7 +27,6 @@ fn durable_cluster(dir: &Path) -> ClusterConfig {
         threads: 1,
         telemetry: true,
         persistence: Some(PersistenceConfig::with_dir(dir.to_string_lossy().into_owned())),
-        data_plane: DataPlane::Reactor,
         ..ClusterConfig::default()
     }
 }

@@ -1,17 +1,15 @@
 //! End-to-end smoke tests: a real loopback cluster served by the
 //! online RFH control loop, driven by the load generator, with and
 //! without chaos. The headline assertion everywhere: **zero lost
-//! acknowledged writes** — proven on both data planes, since the
-//! threaded plane is the differential baseline for the reactor.
+//! acknowledged writes**.
 
 use rfh_faults::FaultPlan;
 use rfh_serve::{
-    run_loadgen, ArrivalMode, Cluster, ClusterConfig, DataPlane, GetOutcome, LoadGenConfig,
-    ServeClient,
+    run_loadgen, ArrivalMode, Cluster, ClusterConfig, GetOutcome, LoadGenConfig, ServeClient,
 };
 use rfh_types::RfhError;
 
-fn small_cluster(plane: DataPlane) -> ClusterConfig {
+fn small_cluster() -> ClusterConfig {
     ClusterConfig {
         servers_per_rack: 1, // 10 DCs × 2 racks × 1 = 20 nodes
         partitions: 16,
@@ -21,7 +19,6 @@ fn small_cluster(plane: DataPlane) -> ClusterConfig {
         threads: 1,
         telemetry: true,
         persistence: None,
-        data_plane: plane,
         ..ClusterConfig::default()
     }
 }
@@ -43,10 +40,9 @@ fn small_load(ops: u64) -> LoadGenConfig {
 }
 
 /// Healthy-cluster workload: every op completes, every acked write is
-/// readable, and the control loop's summary is clean. Run under both
-/// planes so their externally visible outputs stay interchangeable.
-fn no_loss_on(plane: DataPlane, pipeline: u64) {
-    let cluster = Cluster::start(&small_cluster(plane), FaultPlan::default()).unwrap();
+/// readable, and the control loop's summary is clean.
+fn no_loss_on(pipeline: u64) {
+    let cluster = Cluster::start(&small_cluster(), FaultPlan::default()).unwrap();
     let cfg = LoadGenConfig { pipeline, ..small_load(600) };
     let report = run_loadgen(&cfg, cluster.node_infos()).unwrap();
     let summary = cluster.shutdown().unwrap();
@@ -67,29 +63,17 @@ fn no_loss_on(plane: DataPlane, pipeline: u64) {
 
 #[test]
 fn serves_reads_and_writes_without_loss() {
-    no_loss_on(DataPlane::Reactor, 1);
-}
-
-#[test]
-fn threaded_plane_serves_reads_and_writes_without_loss() {
-    no_loss_on(DataPlane::Threaded, 1);
+    no_loss_on(1);
 }
 
 #[test]
 fn pipelined_closed_loop_loses_nothing() {
-    no_loss_on(DataPlane::Reactor, 8);
-}
-
-#[test]
-fn threaded_plane_accepts_pipelined_clients() {
-    // The pipelined client is plane-agnostic: the threaded plane's
-    // per-connection handler serves frames in arrival order too.
-    no_loss_on(DataPlane::Threaded, 4);
+    no_loss_on(8);
 }
 
 #[test]
 fn open_loop_mode_measures_latency() {
-    let cluster = Cluster::start(&small_cluster(DataPlane::Reactor), FaultPlan::default()).unwrap();
+    let cluster = Cluster::start(&small_cluster(), FaultPlan::default()).unwrap();
     let cfg = LoadGenConfig {
         mode: ArrivalMode::Open,
         workers: 2,
@@ -106,12 +90,12 @@ fn open_loop_mode_measures_latency() {
 }
 
 /// Kill one server two ticks in (≈100 ms with a 50 ms interval), while
-/// the load generator is still writing. Zero acked writes may be lost
-/// on either plane — the reactor's route-epoch validation must be as
-/// safe as the threaded plane's partition lock.
-fn kill_without_loss_on(plane: DataPlane, pipeline: u64) {
+/// the load generator is still writing. Zero acked writes may be lost:
+/// the route-epoch validation must hold while the kill's repairs move
+/// partitions under live writes.
+fn kill_without_loss_on(pipeline: u64) {
     let plan = FaultPlan::from_toml_str("[[at]]\nepoch = 2\nfail_servers = [5]\n").unwrap();
-    let cluster = Cluster::start(&small_cluster(plane), plan).unwrap();
+    let cluster = Cluster::start(&small_cluster(), plan).unwrap();
     // Deeper pipelines drain the op budget much faster; scale it so the
     // workload still overlaps the kill at tick 2 (≈100 ms in).
     let cfg = LoadGenConfig { pipeline, ..small_load(1_200 * pipeline.max(1)) };
@@ -133,7 +117,7 @@ fn kill_without_loss_on(plane: DataPlane, pipeline: u64) {
 #[test]
 fn a_fault_plan_naming_an_unknown_server_fails_at_start() {
     let plan = FaultPlan::from_toml_str("[[at]]\nepoch = 2\nfail_servers = [5, 99]\n").unwrap();
-    match Cluster::start(&small_cluster(DataPlane::Reactor), plan) {
+    match Cluster::start(&small_cluster(), plan) {
         Err(RfhError::InvalidConfig { parameter: "faults", reason }) => {
             assert!(reason.contains("server id 99"), "{reason}")
         }
@@ -147,24 +131,19 @@ fn a_fault_plan_naming_an_unknown_server_fails_at_start() {
 
 #[test]
 fn survives_a_server_kill_without_losing_acked_writes() {
-    kill_without_loss_on(DataPlane::Reactor, 1);
-}
-
-#[test]
-fn threaded_plane_survives_a_server_kill() {
-    kill_without_loss_on(DataPlane::Threaded, 1);
+    kill_without_loss_on(1);
 }
 
 #[test]
 fn pipelined_load_survives_a_server_kill() {
-    kill_without_loss_on(DataPlane::Reactor, 8);
+    kill_without_loss_on(8);
 }
 
 #[test]
 fn data_survives_across_direct_client_use() {
     // Drive the client API directly (not through the load generator):
     // write through one datacenter, read through another.
-    let cluster = Cluster::start(&small_cluster(DataPlane::Reactor), FaultPlan::default()).unwrap();
+    let cluster = Cluster::start(&small_cluster(), FaultPlan::default()).unwrap();
     let nodes = cluster.node_infos().to_vec();
     let mut writer = ServeClient::new(&nodes, 0, 0).unwrap();
     let mut reader = ServeClient::new(&nodes, 7, 0).unwrap();
@@ -187,10 +166,10 @@ fn data_survives_across_direct_client_use() {
 
 /// Depth-1 wire compatibility: the plain blocking client (the legacy
 /// protocol, one frame outstanding) works unchanged against the
-/// reactor plane, and cross-plane data round-trips byte-identically.
+/// pipelined reactor plane, and its data round-trips byte-identically.
 #[test]
 fn legacy_client_is_wire_compatible_with_the_reactor_plane() {
-    let cluster = Cluster::start(&small_cluster(DataPlane::Reactor), FaultPlan::default()).unwrap();
+    let cluster = Cluster::start(&small_cluster(), FaultPlan::default()).unwrap();
     let nodes = cluster.node_infos().to_vec();
     let mut c = ServeClient::new(&nodes, 3, 0).unwrap();
     c.put(99, 5, b"depth-one").unwrap();
@@ -206,7 +185,7 @@ fn legacy_client_is_wire_compatible_with_the_reactor_plane() {
 
 #[test]
 fn addr_file_roundtrips_through_client_parser() {
-    let cluster = Cluster::start(&small_cluster(DataPlane::Reactor), FaultPlan::default()).unwrap();
+    let cluster = Cluster::start(&small_cluster(), FaultPlan::default()).unwrap();
     let text = cluster.render_addr_file();
     let parsed = ServeClient::parse_addr_file(&text).unwrap();
     assert_eq!(parsed, cluster.node_infos());

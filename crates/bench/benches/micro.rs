@@ -91,17 +91,18 @@ fn traffic_benches(c: &mut Criterion) {
     c.bench_function("traffic/compute_pass_paper_scale", |b| {
         b.iter(|| black_box(compute_traffic(&topo, &load, &view)))
     });
+    let all: Vec<u32> = (0..cfg.partitions).collect();
     c.bench_function("traffic/engine_account_reused", |b| {
         let mut engine = TrafficEngine::new();
-        engine.account(&topo, &load, &view); // warm the caches once
+        engine.account_active(&topo, &load, &view, &all, None); // warm the caches once
         b.iter(|| {
-            black_box(engine.account(&topo, &load, &view));
+            black_box(engine.account_active(&topo, &load, &view, &all, None));
         })
     });
     let accounts = compute_traffic(&topo, &load, &view);
     c.bench_function("traffic/smoother_update", |b| {
         let mut smoother = TrafficSmoother::new(64, 10, 0.2);
-        b.iter(|| smoother.update(&load, &accounts))
+        b.iter(|| smoother.update_active(&load, &accounts, &all))
     });
 }
 
@@ -114,8 +115,9 @@ fn decision_benches(c: &mut Criterion) {
     let load = bench_load(&cfg);
     let view = manager.placement_view(&topo, cfg.replica_capacity_mean);
     let accounts = compute_traffic(&topo, &load, &view);
+    let all: Vec<u32> = (0..cfg.partitions).collect();
     let mut smoother = TrafficSmoother::new(64, 10, 0.2);
-    smoother.update(&load, &accounts);
+    smoother.update_active(&load, &accounts, &all);
     let blocking = server_blocking_probabilities(&topo, &accounts, cfg.replica_capacity_mean);
     c.bench_function("core/rfh_decide_epoch", |b| {
         let mut policy = RfhPolicy::new();
@@ -130,7 +132,7 @@ fn decision_benches(c: &mut Criterion) {
                 view: &view,
                 config: &cfg,
                 recorder: &rfh_obs::NullRecorder,
-                active: None,
+                active: &all,
             };
             black_box(policy.decide(&ctx, &manager))
         })

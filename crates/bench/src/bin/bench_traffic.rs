@@ -42,6 +42,7 @@ fn main() {
     let manager = bench_manager(&cfg, &topo, &ring);
     let load = bench_load(&cfg);
     let view = manager.placement_view(&topo, cfg.replica_capacity_mean);
+    let all: Vec<u32> = (0..cfg.partitions).collect();
 
     let mut engine = TrafficEngine::new();
     let mut oneshot = Vec::with_capacity(ROUNDS);
@@ -53,9 +54,10 @@ fn main() {
             black_box(compute_traffic(&topo, &load, &view));
         }));
         // Reused path: the engine keeps its caches and buffers across
-        // calls (the simulator's steady state).
+        // calls (the simulator's steady state), here over every
+        // partition like the one-shot pass.
         reused.push(time_ns(|| {
-            black_box(engine.account(&topo, &load, &view));
+            black_box(engine.account_active(&topo, &load, &view, &all, None));
         }));
     }
     let oneshot_ns = median(oneshot);

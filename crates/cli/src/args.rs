@@ -7,7 +7,7 @@
 
 use rfh_core::PolicyKind;
 use rfh_faults::FaultPlan;
-use rfh_sim::{EngineMode, PlannerConfig};
+use rfh_sim::PlannerConfig;
 use rfh_types::{FlashCrowdConfig, Result, RfhError};
 use rfh_workload::Scenario;
 use std::collections::BTreeMap;
@@ -17,7 +17,7 @@ pub type Options = BTreeMap<String, String>;
 
 /// Options recognised anywhere (commands ignore what they don't use but
 /// typos should not pass silently).
-const KNOWN: [&str; 32] = [
+const KNOWN: [&str; 31] = [
     "persist-dir",
     "placement",
     "planner",
@@ -30,7 +30,6 @@ const KNOWN: [&str; 32] = [
     "threads",
     "partitions",
     "skew",
-    "engine",
     "csv",
     "csv-dir",
     "out",
@@ -247,20 +246,6 @@ pub fn skew(opts: &Options) -> Result<Option<f64>> {
     Ok(Some(s))
 }
 
-/// `--engine dense|sparse` (default sparse). Either engine yields
-/// bit-identical results; dense exists for differential testing and
-/// timing comparisons.
-pub fn engine(opts: &Options) -> Result<EngineMode> {
-    match opts.get("engine").map(String::as_str) {
-        None | Some("sparse") => Ok(EngineMode::Sparse),
-        Some("dense") => Ok(EngineMode::Dense),
-        Some(other) => Err(RfhError::InvalidConfig {
-            parameter: "engine",
-            reason: format!("{other:?} is not one of dense|sparse"),
-        }),
-    }
-}
-
 /// `--faults PLAN.toml` / `--fault-seed N`: the chaos schedule. With no
 /// `--faults` file the plan is empty (and `--fault-seed` alone changes
 /// nothing: an empty plan builds no injector). `--fault-seed` overrides
@@ -369,14 +354,15 @@ mod tests {
         let (_, o) = parse(&argv("run")).unwrap();
         assert_eq!(partitions(&o).unwrap(), None, "no override by default");
         assert_eq!(skew(&o).unwrap(), None);
-        assert_eq!(engine(&o).unwrap(), EngineMode::Sparse, "sparse is the default");
 
-        let (_, o) = parse(&argv("run --partitions 1000000 --skew 1.1 --engine dense")).unwrap();
+        let (_, o) = parse(&argv("run --partitions 1000000 --skew 1.1")).unwrap();
         assert_eq!(partitions(&o).unwrap(), Some(1_000_000));
         assert_eq!(skew(&o).unwrap(), Some(1.1));
-        assert_eq!(engine(&o).unwrap(), EngineMode::Dense);
-        let (_, o) = parse(&argv("run --engine sparse")).unwrap();
-        assert_eq!(engine(&o).unwrap(), EngineMode::Sparse);
+        // There is one epoch engine: `--engine` is gone, whatever its value.
+        for engine in ["dense", "sparse", "turbo"] {
+            let err = parse(&argv(&format!("run --engine {engine}"))).unwrap_err().to_string();
+            assert!(err.contains("unknown option --engine"), "{engine}: {err}");
+        }
 
         // u32 overflow is rejected up front with a pointed message.
         let (_, o) = parse(&argv("run --partitions 4294967296")).unwrap();
@@ -393,8 +379,6 @@ mod tests {
         assert!(skew(&o).is_err(), "negative skew rejected");
         let (_, o) = parse(&argv("run --skew inf")).unwrap();
         assert!(skew(&o).is_err(), "non-finite skew rejected");
-        let (_, o) = parse(&argv("run --engine turbo")).unwrap();
-        assert!(engine(&o).is_err(), "unknown engine rejected");
     }
 
     #[test]

@@ -124,10 +124,7 @@ pub fn run_one(opts: &Options) -> Result<String> {
     let profiled = args::flag(opts, "profile");
     let planner_cfg = args::planner(opts)?;
     let recorder = opts.get("trace").map(|_| Arc::new(TraceRecorder::new()));
-    let mut sim = Simulation::new(p)?
-        .with_profiling(profiled)
-        .with_engine(args::engine(opts)?)
-        .with_planner(planner_cfg);
+    let mut sim = Simulation::new(p)?.with_profiling(profiled).with_planner(planner_cfg);
     if let Some(rec) = &recorder {
         sim = sim.with_recorder(Arc::clone(rec) as Arc<dyn Recorder>);
     }
@@ -216,7 +213,6 @@ pub fn compare(opts: &Options) -> Result<String> {
     let obs = ObsOptions {
         profile: profiled,
         recorder: recorder.clone().map(|r| r as Arc<dyn Recorder>),
-        engine: args::engine(opts)?,
     };
     let cmp = run_comparison_observed(&p, &obs)?;
     let mut out = format!("{label}\nsteady state (last quarter):\n\n");
@@ -288,10 +284,7 @@ pub fn replay(opts: &Options) -> Result<String> {
         trace.len(),
         trace.total_queries()
     );
-    let result = Simulation::new(p)?
-        .with_shared_trace(Arc::new(trace))
-        .with_engine(args::engine(opts)?)
-        .run()?;
+    let result = Simulation::new(p)?.with_shared_trace(Arc::new(trace)).run()?;
     let mut out = format!(
         "{label}
 steady state (last quarter):

@@ -11,7 +11,6 @@
 //!         [--epochs N] [--seed N] [--csv FILE]
 //!         [--threads N]                        parallel epoch engine (bit-identical)
 //!         [--partitions N] [--skew S]          scale knobs (1M-partition runs)
-//!         [--engine dense|sparse]              epoch engine (bit-identical)
 //!         [--placement domain-spread]          failure-domain-aware placement
 //!         [--planner on] [--link-budget BYTES] bandwidth-budgeted transfer planner
 //!         [--trace OUT.jsonl] [--profile]      decision trace + phase timing
@@ -98,8 +97,6 @@ COMMON OPTIONS:
     --partitions N    override the partition count (default 64); partition
                       ids are u32, larger values are rejected up front
     --skew S          override the workload's Zipf skew exponent (default 0.8)
-    --engine E        dense | sparse epoch engine (default sparse); both are
-                      bit-identical — dense exists for differential testing
     --csv FILE        write the run's full metrics as CSV (run)
     --csv-dir DIR     write per-metric comparison CSVs (compare)
     --out FILE        trace output file (trace; default stdout)

@@ -56,7 +56,7 @@ pub fn server_blocking_probabilities(
 mod tests {
     use super::*;
     use rfh_topology::TopologyBuilder;
-    use rfh_traffic::{PlacementView, TrafficEngine};
+    use rfh_traffic::{compute_traffic, PlacementView};
     use rfh_types::{Continent, GeoPoint, PartitionId};
     use rfh_workload::QueryLoad;
 
@@ -72,9 +72,7 @@ mod tests {
         load.add(PartitionId::new(0), rfh_types::DatacenterId::new(0), load_s0);
         let mut view = PlacementView::new(1, 2, vec![ServerId::new(0)]);
         view.add_capacity(PartitionId::new(0), ServerId::new(0), 1000.0);
-        let mut engine = TrafficEngine::new();
-        engine.account(topo, &load, &view);
-        engine.into_accounts()
+        compute_traffic(topo, &load, &view)
     }
 
     #[test]
@@ -127,8 +125,7 @@ mod tests {
         let mut view = PlacementView::new(2, 2, vec![ServerId::new(0), ServerId::new(1)]);
         view.add_capacity(PartitionId::new(0), ServerId::new(0), 80.0);
         view.add_capacity(PartitionId::new(1), ServerId::new(1), 80.0);
-        let mut engine = TrafficEngine::new();
-        let acc = engine.account(&t, &load, &view).clone();
+        let acc = compute_traffic(&t, &load, &view);
         assert_eq!(acc.server_load(ServerId::new(0)), 80.0);
         assert_eq!(acc.server_load(ServerId::new(1)), 80.0);
         let bp = server_blocking_probabilities(&t, &acc, 20.0);

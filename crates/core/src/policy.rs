@@ -38,12 +38,12 @@ pub struct EpochContext<'a> {
     /// Decision-event sink (observation-only; `&NullRecorder` when the
     /// run is untraced).
     pub recorder: &'a dyn Recorder,
-    /// Sparse-engine active set: the partitions this epoch's traffic
-    /// pass touched, sorted ascending. `Some` asks the policy to
-    /// evaluate only these partitions (everything outside is frozen —
-    /// the policy's own [`ReplicationPolicy::keeps_live`] vouched that
-    /// skipping them changes nothing); `None` is the dense full sweep.
-    pub active: Option<&'a [u32]>,
+    /// The epoch's active set: the partitions this epoch's traffic pass
+    /// accounted, sorted ascending. The policy evaluates only these;
+    /// everything outside is frozen — the policy's own
+    /// [`ReplicationPolicy::keeps_live`] vouched that skipping them
+    /// changes nothing. A list of every partition is the full sweep.
+    pub active: &'a [u32],
 }
 
 /// One decision a policy can make.
@@ -102,22 +102,23 @@ pub trait ReplicationPolicy {
     /// agent overrides it to corrupt its WAN transport.
     fn set_message_loss(&mut self, _probability: f64) {}
 
-    /// Whether partition `p` must stay in the sparse engine's active set
+    /// Whether partition `p` must stay in the epoch kernel's active set
     /// next epoch even if nobody queries it.
     ///
-    /// The sparse epoch engine carries a partition from one epoch's
-    /// active set to the next only while this returns `true`; once it
-    /// returns `false` the partition is frozen until new demand (or a
-    /// fault) dirties it. An implementation may return `false` only when
-    /// evaluating the partition under a dense sweep would provably
-    /// produce no action *and no internal state change* this epoch and
-    /// every following epoch until the partition is dirtied again —
-    /// that is what makes sparse runs byte-identical to dense ones.
-    /// `smoother` cells for frozen partitions are lazily decayed, i.e.
-    /// possibly stale upper bounds of the dense values; treat any
-    /// nonzero read as "still live" and the conservative direction is
-    /// preserved. The default keeps everything live — always correct,
-    /// never sparse.
+    /// The epoch kernel carries a partition from one epoch's active set
+    /// to the next only while this returns `true`; once it returns
+    /// `false` the partition is frozen until new demand (or a fault)
+    /// dirties it. An implementation may return `false` only when
+    /// evaluating the partition in a sweep over every partition would
+    /// provably produce no action *and no internal state change* this
+    /// epoch and every following epoch until the partition is dirtied
+    /// again — that is what makes sparse runs byte-identical to the
+    /// full-sweep reference (a policy whose `keeps_live` is always
+    /// `true`). `smoother` cells for frozen partitions are lazily
+    /// decayed, i.e. possibly stale upper bounds of the full-sweep
+    /// values; treat any nonzero read as "still live" and the
+    /// conservative direction is preserved. The default keeps
+    /// everything live — always correct, never sparse.
     fn keeps_live(
         &self,
         topo: &Topology,

@@ -79,14 +79,10 @@ impl ReplicationPolicy for RandomPolicy {
         let r_min =
             min_replica_count(ctx.config.failure_rate, ctx.config.min_availability) as usize;
         let mut actions = Vec::new();
-        // Sparse active set when offered; every skipped partition is at
-        // the floor with zero unserved demand, so the dense loop would
-        // `continue` on it anyway.
-        let sweep: Box<dyn Iterator<Item = u32>> = match ctx.active {
-            Some(active) => Box::new(active.iter().copied()),
-            None => Box::new(0..manager.partitions()),
-        };
-        for p_idx in sweep {
+        // The active set only: every skipped partition is at the floor
+        // with zero unserved demand, so a full sweep would `continue` on
+        // it anyway.
+        for &p_idx in ctx.active {
             let p = PartitionId::new(p_idx);
             let needs_growth = manager.replica_count(p) < r_min
                 || ctx.accounts.unserved[p.index()] > UNSERVED_TRIGGER;

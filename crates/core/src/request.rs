@@ -32,17 +32,16 @@ const MIGRATION_RATE_MARGIN: f64 = 2.0;
 #[derive(Debug, Clone)]
 pub struct RequestOrientedPolicy {
     /// Smoothed per-(partition, dc) query rates, so the top-3 set does
-    /// not flap on Poisson noise. Under sparse sweeps rows of inactive
-    /// partitions are lazily decayed: [`Self::stamps`] records the last
+    /// not flap on Poisson noise. Rows of partitions outside the active
+    /// set are lazily decayed: [`Self::stamps`] records the last
     /// pass a row was folded, and reactivation folds the missing
     /// all-zero observations in closed form — bit-identical to having
     /// folded them one epoch at a time.
     rates: Vec<f64>,
     /// Pass number at which each partition's rate row was last folded.
     stamps: Vec<u64>,
-    /// Update passes taken so far (dense or sparse).
+    /// Update passes taken so far.
     pass: u64,
-    partitions: u32,
     dcs: u32,
     rng: StdRng,
 }
@@ -55,7 +54,6 @@ impl RequestOrientedPolicy {
             rates: vec![0.0; partitions as usize * dcs as usize],
             stamps: vec![0; partitions as usize],
             pass: 0,
-            partitions,
             dcs,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -104,14 +102,8 @@ impl RequestOrientedPolicy {
         }
     }
 
-    fn update_rates(&mut self, ctx: &EpochContext<'_>) {
-        self.pass += 1;
-        for p in 0..self.partitions {
-            self.observe_partition(ctx.load, p);
-        }
-    }
-
-    fn update_rates_active(&mut self, load: &rfh_workload::QueryLoad, active: &[u32]) {
+    /// Start a new pass and fold the rows of the `active` partitions.
+    fn update_rates(&mut self, load: &rfh_workload::QueryLoad, active: &[u32]) {
         self.pass += 1;
         for &p in active {
             self.observe_partition(load, p);
@@ -125,24 +117,17 @@ impl ReplicationPolicy for RequestOrientedPolicy {
     }
 
     fn decide(&mut self, ctx: &EpochContext<'_>, manager: &ReplicaManager) -> Vec<Action> {
-        match ctx.active {
-            Some(active) => self.update_rates_active(ctx.load, active),
-            None => self.update_rates(ctx),
-        }
+        self.update_rates(ctx.load, ctx.active);
         let r_min =
             min_replica_count(ctx.config.failure_rate, ctx.config.min_availability) as usize;
         let mut actions = Vec::new();
-        // Sparse active set when offered. A frozen partition has every
-        // rate cell below [`Self::ACTIVE_RATE`] (the stale cells only
-        // overestimate the decayed truth), so its top-3 is empty: the
-        // dense loop would take neither the growth nor the migration
-        // branch and — crucially for the shared RNG stream — draw no
-        // random numbers for it.
-        let sweep: Box<dyn Iterator<Item = u32>> = match ctx.active {
-            Some(active) => Box::new(active.iter().copied()),
-            None => Box::new(0..manager.partitions()),
-        };
-        for p_idx in sweep {
+        // The active set only. A frozen partition has every rate cell
+        // below [`Self::ACTIVE_RATE`] (the stale cells only overestimate
+        // the decayed truth), so its top-3 is empty: a full sweep would
+        // take neither the growth nor the migration branch and —
+        // crucially for the shared RNG stream — draw no random numbers
+        // for it.
+        for &p_idx in ctx.active {
             let p = PartitionId::new(p_idx);
             let top3 = self.top3(p);
 
@@ -287,7 +272,7 @@ impl ReplicationPolicy for RequestOrientedPolicy {
     ) -> bool {
         // Live while any requester rate could still put a DC in the
         // top-3. With every cell below the bar the top-3 is empty and
-        // the dense sweep is inert for this partition: the growth
+        // a full sweep is inert for this partition: the growth
         // branch needs a non-empty top-3 (even below the floor — this
         // baseline only ever places near requesters), the migration
         // branch needs an uncovered top-3 entry, and neither touches

@@ -227,7 +227,8 @@ impl RfhDecisionCore {
             .or_else(|| view.bootstrap_candidate(p, holder_dc))
     }
 
-    /// Run the decision tree for every partition, serially.
+    /// Run the decision tree for the partitions in `active` only
+    /// (sorted ascending), serially.
     ///
     /// `snapshot` is the frozen per-epoch placement view decisions are
     /// evaluated against; `manager` supplies the replica sets it was
@@ -236,129 +237,13 @@ impl RfhDecisionCore {
     /// [`DecisionEvent`] carrying the model inputs that fired, labelled
     /// `policy` — observation-only, so the decisions are identical
     /// under any recorder.
-    #[allow(clippy::too_many_arguments)]
-    pub fn decide_all(
-        &mut self,
-        epoch: Epoch,
-        t: &Thresholds,
-        r_min: usize,
-        topo: &Topology,
-        manager: &ReplicaManager,
-        snapshot: &PlacementView,
-        view: &dyn TrafficView,
-        recorder: &dyn Recorder,
-        policy: &'static str,
-    ) -> Vec<Action> {
-        let mut actions = Vec::new();
-        for p_idx in 0..manager.partitions() {
-            let p = PartitionId::new(p_idx);
-            let d = self.decide_partition(
-                epoch, t, r_min, topo, manager, snapshot, view, recorder, policy, p,
-            );
-            self.absorb(epoch, p, d, &mut actions);
-        }
-        self.note_birth(epoch, &actions);
-        actions
-    }
-
-    /// [`decide_all`](Self::decide_all) with the per-partition
-    /// evaluation fanned out over `pool`.
     ///
-    /// Partitions are split into contiguous shards (one per worker).
-    /// Workers evaluate their partitions read-only against the frozen
-    /// `snapshot` and record trace events into per-shard
-    /// [`BufferedRecorder`]s; the coordinator then walks shards — hence
-    /// partitions — in ascending order, forwarding events to the real
-    /// recorder and absorbing each partition's state updates, exactly
-    /// as the serial loop would have. Actions, decision-core state, and
-    /// the recorder's event sequence are therefore bit-identical to
-    /// [`decide_all`](Self::decide_all) for any pool size.
-    #[allow(clippy::too_many_arguments)]
-    pub fn decide_all_pooled(
-        &mut self,
-        epoch: Epoch,
-        t: &Thresholds,
-        r_min: usize,
-        topo: &Topology,
-        manager: &ReplicaManager,
-        snapshot: &PlacementView,
-        view: &(dyn TrafficView + Sync),
-        recorder: &dyn Recorder,
-        policy: &'static str,
-        pool: &WorkerPool,
-    ) -> Vec<Action> {
-        let n = manager.partitions() as usize;
-        if pool.size() <= 1 || n <= 1 {
-            return self
-                .decide_all(epoch, t, r_min, topo, manager, snapshot, view, recorder, policy);
-        }
-        let traced = recorder.enabled();
-        let n_shards = pool.size().min(n);
-        struct ShardOut {
-            lo: u32,
-            hi: u32,
-            events: BufferedRecorder,
-            decisions: Vec<PartitionDecision>,
-        }
-        let mut outs: Vec<ShardOut> = (0..n_shards)
-            .map(|k| {
-                let (lo, hi) = shard_bounds(n, n_shards, k);
-                ShardOut {
-                    lo: lo as u32,
-                    hi: hi as u32,
-                    events: BufferedRecorder::new(traced),
-                    decisions: Vec::with_capacity(hi - lo),
-                }
-            })
-            .collect();
-        {
-            let core: &RfhDecisionCore = self;
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = outs
-                .iter_mut()
-                .map(|out| {
-                    Box::new(move || {
-                        for p_idx in out.lo..out.hi {
-                            let d = core.decide_partition(
-                                epoch,
-                                t,
-                                r_min,
-                                topo,
-                                manager,
-                                snapshot,
-                                view as &dyn TrafficView,
-                                &out.events,
-                                policy,
-                                PartitionId::new(p_idx),
-                            );
-                            out.decisions.push(d);
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run(jobs);
-        }
-        let mut actions = Vec::new();
-        for out in outs {
-            for event in out.events.drain() {
-                recorder.decision(event);
-            }
-            for (i, d) in out.decisions.into_iter().enumerate() {
-                self.absorb(epoch, PartitionId::new(out.lo + i as u32), d, &mut actions);
-            }
-        }
-        self.note_birth(epoch, &actions);
-        actions
-    }
-
-    /// Run the decision tree for the partitions in `active` only
-    /// (sorted ascending), serially.
-    ///
-    /// The sparse-engine counterpart of [`decide_all`](Self::decide_all):
-    /// partitions outside `active` are frozen — the caller vouches (via
+    /// Partitions outside `active` are frozen — the caller vouches (via
     /// [`ReplicationPolicy::keeps_live`]) that evaluating them would
     /// change nothing. Because evaluation and absorption walk `active`
     /// ascending, actions, state updates and trace events for the
-    /// active partitions are byte-identical to the dense sweep's.
+    /// active partitions are byte-identical to a sweep over every
+    /// partition.
     #[allow(clippy::too_many_arguments)]
     pub fn decide_set(
         &mut self,
@@ -387,10 +272,17 @@ impl RfhDecisionCore {
     }
 
     /// [`decide_set`](Self::decide_set) with the per-partition
-    /// evaluation fanned out over `pool`, sharding the *active list*
-    /// (not the partition space). Bit-identical to the serial sparse
-    /// pass for any pool size, by the same snapshot/absorb argument as
-    /// [`decide_all_pooled`](Self::decide_all_pooled).
+    /// evaluation fanned out over `pool`.
+    ///
+    /// The active list is split into contiguous shards (one per
+    /// worker). Workers evaluate their partitions read-only against the
+    /// frozen `snapshot` and record trace events into per-shard
+    /// [`BufferedRecorder`]s; the coordinator then walks shards — hence
+    /// partitions — in ascending order, forwarding events to the real
+    /// recorder and absorbing each partition's state updates, exactly
+    /// as the serial loop would have. Actions, decision-core state, and
+    /// the recorder's event sequence are therefore bit-identical to
+    /// [`decide_set`](Self::decide_set) for any pool size.
     #[allow(clippy::too_many_arguments)]
     pub fn decide_set_pooled(
         &mut self,
@@ -488,12 +380,12 @@ impl RfhDecisionCore {
 
     /// Evaluate the decision tree for one partition, read-only.
     ///
-    /// All state `decide_all` historically mutated mid-loop is keyed by
-    /// partition (idle streaks by `(partition, server)`, the migration
-    /// cooldown by partition), so evaluating partitions against `&self`
-    /// and absorbing the returned updates afterwards — in partition
-    /// order — reproduces the serial loop exactly. That is the property
-    /// the parallel pass rests on.
+    /// All state the serial loop mutates is keyed by partition (idle
+    /// streaks by `(partition, server)`, the migration cooldown by
+    /// partition), so evaluating partitions against `&self` and
+    /// absorbing the returned updates afterwards — in partition order —
+    /// reproduces the serial loop exactly. That is the property the
+    /// parallel pass rests on.
     #[allow(clippy::too_many_arguments)]
     fn decide_partition(
         &self,
@@ -1016,8 +908,8 @@ impl ReplicationPolicy for RfhPolicy {
             use_blocking: self.use_blocking,
             placement: self.placement,
         };
-        match (self.pool.as_deref(), ctx.active) {
-            (Some(pool), Some(active)) if pool.size() > 1 => self.core.decide_set_pooled(
+        match self.pool.as_deref() {
+            Some(pool) => self.core.decide_set_pooled(
                 ctx.epoch,
                 &ctx.config.thresholds,
                 r_min,
@@ -1027,10 +919,10 @@ impl ReplicationPolicy for RfhPolicy {
                 &view,
                 ctx.recorder,
                 label,
-                active,
+                ctx.active,
                 pool,
             ),
-            (_, Some(active)) => self.core.decide_set(
+            None => self.core.decide_set(
                 ctx.epoch,
                 &ctx.config.thresholds,
                 r_min,
@@ -1040,30 +932,7 @@ impl ReplicationPolicy for RfhPolicy {
                 &view,
                 ctx.recorder,
                 label,
-                active,
-            ),
-            (Some(pool), None) if pool.size() > 1 => self.core.decide_all_pooled(
-                ctx.epoch,
-                &ctx.config.thresholds,
-                r_min,
-                ctx.topo,
-                manager,
-                ctx.view,
-                &view,
-                ctx.recorder,
-                label,
-                pool,
-            ),
-            (_, None) => self.core.decide_all(
-                ctx.epoch,
-                &ctx.config.thresholds,
-                r_min,
-                ctx.topo,
-                manager,
-                ctx.view,
-                &view,
-                ctx.recorder,
-                label,
+                ctx.active,
             ),
         }
     }
@@ -1083,7 +952,7 @@ impl ReplicationPolicy for RfhPolicy {
         // [`SUICIDE_PATIENCE`] (re-evaluating is idempotent thanks to
         // the cap), and every non-primary replica's datacenter traffic
         // at exact zero (so eq. 15 candidacy — hence the streak state —
-        // cannot change). Under those conditions a dense sweep provably
+        // cannot change). Under those conditions a full sweep provably
         // emits no action and mutates nothing, epoch after epoch, until
         // new demand or a fault dirties the partition. Smoother cells
         // may be lazily-stale upper bounds; a stale nonzero keeps the

@@ -28,6 +28,8 @@ pub(crate) struct CtxParts {
     pub smoother: TrafficSmoother,
     pub blocking: Vec<f64>,
     pub view: PlacementView,
+    /// Every partition: the fixtures evaluate the full sweep.
+    pub active: Vec<u32>,
 }
 
 impl CtxParts {
@@ -43,7 +45,7 @@ impl CtxParts {
             view: &self.view,
             config: &h.cfg,
             recorder: &rfh_obs::NullRecorder,
-            active: None,
+            active: &self.active,
         }
     }
 }
@@ -67,19 +69,24 @@ impl Harness {
 
     fn parts_for(&self, manager: &ReplicaManager, load: QueryLoad) -> CtxParts {
         let view = manager.placement_view(&self.topo, self.cfg.replica_capacity_mean);
-        let accounts = self.engine.borrow_mut().account(&self.topo, &load, &view).clone();
+        let active: Vec<u32> = (0..self.cfg.partitions).collect();
+        let accounts = self
+            .engine
+            .borrow_mut()
+            .account_active(&self.topo, &load, &view, &active, None)
+            .clone();
         let mut smoother = TrafficSmoother::new(
             self.cfg.partitions,
             self.topo.datacenters().len() as u32,
             self.cfg.thresholds.alpha,
         );
-        smoother.update(&load, &accounts);
+        smoother.update_active(&load, &accounts, &active);
         let blocking = crate::blocking::server_blocking_probabilities(
             &self.topo,
             &accounts,
             self.cfg.replica_capacity_mean,
         );
-        CtxParts { epoch: Epoch::ZERO, load, accounts, smoother, blocking, view }
+        CtxParts { epoch: Epoch::ZERO, load, accounts, smoother, blocking, view, active }
     }
 
     /// An epoch with zero queries, manager at initial placement.

@@ -1,8 +1,9 @@
 //! Per-epoch safety and liveness auditing.
 //!
-//! The simulator drives [`InvariantAuditor::audit`] once per epoch,
-//! after faults were injected, dead replicas pruned, and the policy's
-//! actions applied. The auditor checks the paper's implicit contract:
+//! The epoch kernel drives [`InvariantAuditor::audit_subset`] once per
+//! epoch over its active set, after faults were injected, dead replicas
+//! pruned, and the policy's actions applied. The auditor checks the
+//! paper's implicit contract:
 //!
 //! **Safety**
 //! * No replica sits on a dead server — except partitions the caller
@@ -131,12 +132,10 @@ impl InvariantAuditor {
         self.last_fault = Some(epoch);
     }
 
-    /// Run the end-of-epoch audit. `fill_replicas` writes partition
-    /// `p`'s replica set into the provided buffer (called once per
-    /// partition, buffer pre-cleared); `pinned` marks partitions whose
-    /// every copy is lost and which legitimately sit on dead servers
-    /// awaiting restore. Returns the number of new violations.
-    pub fn audit(
+    /// The reference audit: every partition, every epoch. The unit
+    /// tests check [`audit_subset`](Self::audit_subset) against it.
+    #[cfg(test)]
+    fn audit(
         &mut self,
         epoch: u64,
         topo: &Topology,
@@ -161,18 +160,23 @@ impl InvariantAuditor {
         self.total - before
     }
 
-    /// Incremental audit over `parts` (sorted ascending, deduped) plus
-    /// the auditor's internal watch list — partitions whose state can
-    /// only evolve while they are being watched (a ticking repair clock,
-    /// replicas still parked on dead servers).
+    /// Run the end-of-epoch audit over `parts` (sorted ascending,
+    /// deduped) plus the auditor's internal watch list — partitions
+    /// whose state can only evolve while they are being watched (a
+    /// ticking repair clock, replicas still parked on dead servers).
+    /// `fill_replicas` writes partition `p`'s replica set into the
+    /// provided buffer (called once per audited partition, buffer
+    /// pre-cleared); `pinned` marks partitions whose every copy is lost
+    /// and which legitimately sit on dead servers awaiting restore.
+    /// Returns the number of new violations.
     ///
     /// Provided every epoch's `parts` contains every partition whose
-    /// replica set or liveness changed that epoch (the sparse engine's
-    /// active set does), the violations recorded — kinds, epochs, order,
-    /// running total — are identical to calling [`audit`](Self::audit)
-    /// each epoch: all other partitions are either unarmed and
-    /// untouched, or healthy at `r_min`+ with every replica alive, and
-    /// the dense sweep is a no-op on them.
+    /// replica set or liveness changed that epoch (the kernel's active
+    /// set does), the violations recorded — kinds, epochs, order,
+    /// running total — are identical to auditing every partition each
+    /// epoch: all other partitions are either unarmed and untouched, or
+    /// healthy at `r_min`+ with every replica alive, and a full sweep is
+    /// a no-op on them.
     pub fn audit_subset(
         &mut self,
         epoch: u64,
@@ -188,7 +192,7 @@ impl InvariantAuditor {
         let mut new_watch = std::mem::take(&mut self.watch_spare);
         new_watch.clear();
         // Merge-walk parts ∪ watch ascending so violations come out in
-        // the same partition order as the dense sweep's.
+        // the same partition order as a full sweep's.
         let (mut i, mut j) = (0, 0);
         while i < parts.len() || j < old_watch.len() {
             let next = match (parts.get(i), old_watch.get(j)) {
@@ -325,13 +329,21 @@ mod tests {
         ServerId::new(i)
     }
 
+    /// Audit every partition of `sets` through the production entry.
     fn audit_sets(
         a: &mut InvariantAuditor,
         epoch: u64,
         topo: &Topology,
         sets: &[&[ServerId]],
     ) -> u64 {
-        a.audit(epoch, topo, |p, buf| buf.extend_from_slice(sets[p.index()]), |_| false)
+        let all: Vec<u32> = (0..sets.len() as u32).collect();
+        a.audit_subset(
+            epoch,
+            topo,
+            &all,
+            |p, buf| buf.extend_from_slice(sets[p.index()]),
+            |_| false,
+        )
     }
 
     #[test]
@@ -354,7 +366,8 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(a.violations()[0].kind, ViolationKind::ReplicaOnDeadServer);
         // The same set, pinned: legitimate awaiting-restore state.
-        let n = a.audit(1, &t, |_, buf| buf.extend_from_slice(&[s(0), s(1)]), |_| true);
+        let n =
+            a.audit_subset(1, &t, &[0], |_, buf| buf.extend_from_slice(&[s(0), s(1)]), |_| true);
         assert_eq!(n, 0);
     }
 
@@ -395,7 +408,7 @@ mod tests {
     }
 
     #[test]
-    fn subset_audit_matches_dense_audit() {
+    fn subset_audit_matches_reference_audit() {
         // A fault-and-repair scenario driven twice: once auditing every
         // partition every epoch, once auditing only the partitions that
         // changed that epoch (plus the auditor's own watch list). The
@@ -438,10 +451,10 @@ mod tests {
             }
             (a.total(), a.violations().to_vec())
         };
-        let dense = run(false);
+        let reference = run(false);
         let sparse = run(true);
-        assert!(dense.0 > 0, "scenario must actually trip violations");
-        assert_eq!(dense, sparse);
+        assert!(reference.0 > 0, "scenario must actually trip violations");
+        assert_eq!(reference, sparse);
     }
 
     #[test]

@@ -357,13 +357,15 @@ impl ReplicationPolicy for DistributedRfhPolicy {
         self.stats.inner.reports_sent.store(self.reports_sent, Ordering::Relaxed);
         self.stats.inner.control_hops.store(net.hops_travelled(), Ordering::Relaxed);
         self.stats.inner.in_flight.store(net.in_flight() as u64, Ordering::Relaxed);
-        // 4. The shared decision tree runs over the report view.
+        // 4. The shared decision tree runs over the report view. The
+        //    agent keeps the default `keeps_live` (always live), so the
+        //    kernel's active set is every partition.
         let r_min =
             min_replica_count(ctx.config.failure_rate, ctx.config.min_availability) as usize;
         let view =
             ReportView { ctx, manager, tables: &self.tables, use_blocking: self.use_blocking };
         let decide_t0 = self.profiler.start();
-        let actions = self.core.decide_all(
+        let actions = self.core.decide_set(
             ctx.epoch,
             &ctx.config.thresholds,
             r_min,
@@ -373,6 +375,7 @@ impl ReplicationPolicy for DistributedRfhPolicy {
             &view,
             ctx.recorder,
             "RFH-dist",
+            ctx.active,
         );
         self.profiler.stop(PHASE_DECIDE, decide_t0);
         actions

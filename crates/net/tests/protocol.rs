@@ -36,7 +36,8 @@ impl Cluster {
         self.manager.begin_epoch();
         let view = self.manager.placement_view(&self.topo, self.cfg.replica_capacity_mean);
         let accounts = compute_traffic(&self.topo, &load, &view);
-        self.smoother.update(&load, &accounts);
+        let active: Vec<u32> = (0..self.cfg.partitions).collect();
+        self.smoother.update_active(&load, &accounts, &active);
         let blocking =
             server_blocking_probabilities(&self.topo, &accounts, self.cfg.replica_capacity_mean);
         let ctx = EpochContext {
@@ -49,7 +50,7 @@ impl Cluster {
             view: &view,
             config: &self.cfg,
             recorder: &rfh_obs::NullRecorder,
-            active: None,
+            active: &active,
         };
         let actions = policy.decide(&ctx, &self.manager);
         for a in actions {

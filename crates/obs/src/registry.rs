@@ -23,7 +23,7 @@ pub enum Metric {
 }
 
 /// Counters, gauges and histogram summaries, keyed by dotted name
-/// (`net.sent`, `traffic.engine.fast_restores`), in insertion order.
+/// (`net.sent`, `traffic.engine.passes`), in insertion order.
 ///
 /// Subsystems expose a `collect_metrics(&self, &mut MetricsRegistry)`
 /// hook; callers compose one registry from however many subsystems a

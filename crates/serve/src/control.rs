@@ -154,12 +154,13 @@ impl Controller {
     }
 
     /// The control plane's registry: serve.* lifetime totals, the
-    /// data-plane request counters, the sparse counters, and the
-    /// traffic engine's cache stats. Built fresh from totals every
-    /// call, so republishing per tick (and re-scraping) is idempotent.
+    /// data-plane request counters, and the traffic engine's pass
+    /// counters (the active-set sizes among them). Built fresh from
+    /// totals every call, so republishing per tick (and re-scraping) is
+    /// idempotent.
     fn build_registry(&self) -> MetricsRegistry {
         let k = &self.kernel;
-        let (dirty, skipped) = k.sparse_counters();
+        let stats = k.engine().stats();
         let mut registry = MetricsRegistry::new();
         registry.counter_total("serve.control.ticks", k.epoch());
         registry.counter_total("serve.actions.replications", self.replications);
@@ -169,8 +170,9 @@ impl Controller {
         registry.counter_total("serve.repairs.dead_letters", k.repair_queue().dead_letters());
         registry.counter_total("serve.data_restores", self.exec.data_restores);
         registry.counter_total("serve.invariant_violations", k.auditor().total());
-        registry.counter_total("serve.sparse.dirty_partitions", dirty);
-        registry.counter_total("serve.sparse.skipped_partitions", skipped);
+        // One traffic pass per tick, over the tick's active set.
+        registry.counter_total("serve.sparse.dirty_partitions", stats.dirty_partitions);
+        registry.counter_total("serve.sparse.skipped_partitions", stats.skipped_partitions);
         // Planner series appear only when the planner runs, so a
         // budget-less scrape is byte-identical to older builds.
         if let Some(planner) = k.planner() {
@@ -187,7 +189,7 @@ impl Controller {
         registry.counter_total("serve.acks.not_found", c.acks_not_found.load(Ordering::Relaxed));
         registry
             .counter_total("serve.acks.unavailable", c.acks_unavailable.load(Ordering::Relaxed));
-        k.engine().stats().collect_metrics(&mut registry);
+        stats.collect_metrics(&mut registry);
         // Durability series appear only when durability is in play, so
         // a persistence-off scrape is byte-identical to older builds.
         if self.exec.restarts > 0 {

@@ -10,9 +10,10 @@
 //!    plan, update ring membership, prune replicas on dead servers;
 //! 2. [`open_epoch`](EpochKernel::open_epoch): retry archive restores
 //!    for pinned partitions and open the manager's bandwidth budget;
-//! 3. [`step`](EpochKernel::step): account the epoch's query matrix,
-//!    smooth it, let the policy decide, execute the decisions (deferred
-//!    repairs first, through the planner when it is on), and audit.
+//! 3. [`step`](EpochKernel::step): assemble the epoch's active set,
+//!    account its query matrix, smooth it, let the policy decide,
+//!    execute the decisions (deferred repairs first, through the planner
+//!    when it is on), and audit.
 //!
 //! The caller may act between the calls: the simulator applies its
 //! scheduled cluster events after 1, the controller gauges availability
@@ -23,10 +24,19 @@
 //! the live controller passes one that copies partition data and
 //! republishes routes. Executors are generic parameters, so the
 //! placement-only path compiles to the plain manager calls.
+//!
+//! ## The active set
+//!
+//! Every stage after the render works on one sorted list of partitions:
+//! those with queries this epoch, those whose placement changed, and
+//! those carried over from last epoch that the policy cannot yet prove
+//! inert ([`rfh_core::ReplicationPolicy::keeps_live`]). Everything else
+//! is skipped, so an epoch over a million partitions costs only its hot
+//! set. Skipping is exact, not approximate: a policy whose `keeps_live`
+//! is always `true` keeps every partition active, and the differential
+//! tests check runs against that full-sweep reference byte for byte.
 
-use crate::metrics::{
-    epoch_load_imbalance, mean_utilization, mean_utilization_active, EpochSnapshot,
-};
+use crate::metrics::{epoch_load_imbalance, mean_utilization, EpochSnapshot};
 use crate::planner::{link_between, LinkKey, MoveClass, MoveReq, PlannerConfig, TransferPlanner};
 use crate::repair::{destination_unreachable, PendingRepair, RepairQueue};
 use rfh_core::{
@@ -50,27 +60,6 @@ use std::sync::Arc;
 
 /// Tokens per server on the placement ring.
 const RING_TOKENS: u32 = 64;
-
-/// Which epoch engine drives a run.
-///
-/// Both modes produce **bit-identical** results — metrics, placements,
-/// decision traces, RNG streams (a differential test matrix asserts
-/// this). They differ only in per-epoch cost: dense work is
-/// O(partitions), sparse work is O(dirty set), which is what lets an
-/// epoch over a million partitions cost only its hot set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// Full sweeps: every partition is re-accounted, re-smoothed,
-    /// re-decided and re-audited every epoch. The reference semantics.
-    Dense,
-    /// Incremental dirty-set engine (the default): each epoch touches
-    /// only the *active set* — partitions with queries this epoch,
-    /// partitions whose placement changed, and carried-over partitions
-    /// the policy says are not yet provably inert
-    /// ([`rfh_core::ReplicationPolicy::keeps_live`]).
-    #[default]
-    Sparse,
-}
 
 /// How the kernel's placement changes reach the world outside it.
 ///
@@ -165,20 +154,14 @@ pub struct EpochKernel {
     /// Shared worker pool for the traffic and decision passes; `None`
     /// when one thread was asked for (the serial path, zero overhead).
     pool: Option<Arc<WorkerPool>>,
-    /// Dense full sweeps or the sparse dirty-set engine.
-    engine_mode: EngineMode,
     /// Availability floor `r_min` (it depends only on the config).
     r_min: usize,
-    /// Sparse mode: last epoch's active set, sorted ascending — the
-    /// carry half of the next active set.
+    /// Last epoch's active set, sorted ascending — the carry half of
+    /// the next active set.
     prev_active: Vec<u32>,
-    /// Sparse mode: build buffer for the next active set (swapped with
+    /// Build buffer for the next active set (swapped with
     /// `prev_active` each epoch).
     active_scratch: Vec<u32>,
-    /// Cumulative partitions visited by sparse epochs.
-    sparse_dirty: u64,
-    /// Cumulative partitions sparse epochs skipped.
-    sparse_skipped: u64,
     /// Transfer-planner configuration; disabled (the default) keeps the
     /// greedy execution path byte for byte.
     planner_cfg: PlannerConfig,
@@ -242,12 +225,9 @@ impl EpochKernel {
             dirty_parts: Vec::new(),
             view_stale: true,
             pool,
-            engine_mode: EngineMode::default(),
             r_min,
             prev_active: Vec::new(),
             active_scratch: Vec::new(),
-            sparse_dirty: 0,
-            sparse_skipped: 0,
             planner_cfg: PlannerConfig::default(),
             planner: TransferPlanner::new(),
             recorder: Arc::new(NullRecorder),
@@ -274,9 +254,14 @@ impl EpochKernel {
         self
     }
 
-    /// Select the epoch engine (see [`EngineMode`]).
-    pub fn with_engine(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
+    /// Wrap the policy this kernel built — same worker pool, ring and
+    /// seed — in a decorator, e.g. one that observes or overrides
+    /// [`keeps_live`](ReplicationPolicy::keeps_live).
+    pub(crate) fn map_policy(
+        mut self,
+        wrap: impl FnOnce(Box<dyn ReplicationPolicy + Send>) -> Box<dyn ReplicationPolicy + Send>,
+    ) -> Self {
+        self.policy = wrap(self.policy);
         self
     }
 
@@ -351,7 +336,9 @@ impl EpochKernel {
         self.planner_cfg.enabled.then_some(&self.planner)
     }
 
-    /// The traffic engine (cache statistics).
+    /// The traffic engine: its [`stats`](TrafficEngine::stats) count
+    /// passes, route rebuilds, and the partitions the active sets
+    /// visited and skipped.
     pub fn engine(&self) -> &TrafficEngine {
         &self.engine
     }
@@ -359,11 +346,6 @@ impl EpochKernel {
     /// Whether a non-empty fault plan drives this run.
     pub fn faults_active(&self) -> bool {
         self.injector.is_some()
-    }
-
-    /// Lifetime `(visited, skipped)` partition counts of sparse epochs.
-    pub fn sparse_counters(&self) -> (u64, u64) {
-        (self.sparse_dirty, self.sparse_skipped)
     }
 
     /// Drive the fault plan for this epoch: inject what is due, update
@@ -456,8 +438,7 @@ impl EpochKernel {
     }
 
     /// Count partitions with no live replica and below the availability
-    /// floor. O(replicas); reads the replica map, not the sparse active
-    /// set, so the result is engine-independent.
+    /// floor. O(replicas); reads the replica map, not the active set.
     pub fn availability(&self) -> Availability {
         let mut a = Availability::default();
         for p in 0..self.manager.partitions() {
@@ -477,43 +458,37 @@ impl EpochKernel {
     /// smoothing, decisions, execution through `exec`, audit. Returns
     /// the epoch's snapshot and advances the epoch counter.
     pub fn step<E: Executor>(&mut self, load: &QueryLoad, exec: &mut E) -> EpochSnapshot {
-        // Sparse mode: assemble the epoch's active set before the render
-        // below consumes `dirty_parts` / `view_stale`. A stale view means
+        // Assemble the epoch's active set before the render below
+        // consumes `dirty_parts` / `view_stale`. A stale view means
         // placements moved wholesale (first epoch, prune, join, restore)
-        // — that epoch runs dirty-all, which doubles as the warm-up that
-        // seeds the carry. Otherwise the set is carry ∪ touched ∪ dirty:
-        // carried partitions the policy cannot yet prove inert, plus
-        // everything with queries or placement changes this epoch.
+        // — that epoch runs every partition, which doubles as the
+        // warm-up that seeds the carry. Otherwise the set is carry ∪
+        // touched ∪ dirty: carried partitions the policy cannot yet
+        // prove inert, plus everything with queries or placement
+        // changes this epoch.
         let sp_t0 = self.profiler.start();
-        let active: Option<&[u32]> = match self.engine_mode {
-            EngineMode::Dense => None,
-            EngineMode::Sparse => {
-                self.active_scratch.clear();
-                if self.view_stale {
-                    self.active_scratch.extend(0..self.cfg.partitions);
-                } else {
-                    for &pu in &self.prev_active {
-                        if self.policy.keeps_live(
-                            &self.topo,
-                            &self.smoother,
-                            &self.manager,
-                            self.r_min,
-                            PartitionId::new(pu),
-                        ) {
-                            self.active_scratch.push(pu);
-                        }
-                    }
-                    self.active_scratch.extend_from_slice(load.touched());
-                    self.active_scratch.extend(self.dirty_parts.iter().map(|p| p.0));
-                    self.active_scratch.sort_unstable();
-                    self.active_scratch.dedup();
+        self.active_scratch.clear();
+        if self.view_stale {
+            self.active_scratch.extend(0..self.cfg.partitions);
+        } else {
+            for &pu in &self.prev_active {
+                if self.policy.keeps_live(
+                    &self.topo,
+                    &self.smoother,
+                    &self.manager,
+                    self.r_min,
+                    PartitionId::new(pu),
+                ) {
+                    self.active_scratch.push(pu);
                 }
-                std::mem::swap(&mut self.prev_active, &mut self.active_scratch);
-                self.sparse_dirty += self.prev_active.len() as u64;
-                self.sparse_skipped += self.cfg.partitions as u64 - self.prev_active.len() as u64;
-                Some(&self.prev_active)
             }
-        };
+            self.active_scratch.extend_from_slice(load.touched());
+            self.active_scratch.extend(self.dirty_parts.iter().map(|p| p.0));
+            self.active_scratch.sort_unstable();
+            self.active_scratch.dedup();
+        }
+        std::mem::swap(&mut self.prev_active, &mut self.active_scratch);
+        let active = &self.prev_active;
         self.profiler.stop(PHASE_SPARSE, sp_t0);
 
         let tr_t0 = self.profiler.start();
@@ -532,18 +507,9 @@ impl EpochKernel {
             }
         }
         self.dirty_parts.clear();
-        let accounts = match (active, &self.pool) {
-            (Some(a), Some(pool)) => {
-                self.engine.account_active_sharded(&self.topo, load, &self.view, a, pool)
-            }
-            (Some(a), None) => self.engine.account_active(&self.topo, load, &self.view, a),
-            (None, Some(pool)) => self.engine.account_sharded(&self.topo, load, &self.view, pool),
-            (None, None) => self.engine.account(&self.topo, load, &self.view),
-        };
-        match active {
-            Some(a) => self.smoother.update_active(load, accounts, a),
-            None => self.smoother.update(load, accounts),
-        }
+        let accounts =
+            self.engine.account_active(&self.topo, load, &self.view, active, self.pool.as_deref());
+        self.smoother.update_active(load, accounts, active);
         let blocking =
             server_blocking_probabilities(&self.topo, accounts, cfg.replica_capacity_mean);
         self.profiler.stop(PHASE_TRAFFIC, tr_t0);
@@ -566,10 +532,7 @@ impl EpochKernel {
 
         let me_t0 = self.profiler.start();
         let mut snap = EpochSnapshot {
-            utilization: match active {
-                Some(a) => mean_utilization_active(&self.view, accounts, a),
-                None => mean_utilization(&self.view, accounts),
-            },
+            utilization: mean_utilization(&self.view, accounts, active),
             load_imbalance: epoch_load_imbalance(&self.topo, accounts),
             path_length: accounts.mean_path_length(),
             served: accounts.served_total(),
@@ -590,27 +553,19 @@ impl EpochKernel {
         snap.replicas_total = self.manager.total_replicas();
         let manager = &self.manager;
         let pinned = &self.pinned;
-        // Sparse mode audits the active set (plus the auditor's own
-        // watch list of armed / dead-replica partitions); the violation
-        // stream is identical to a dense audit because only actions can
-        // change a partition's audit state, actions land on active
-        // partitions, and deferred repairs either hit watched partitions
-        // or leave the audit outcome unchanged.
-        snap.invariant_violations = match self.engine_mode {
-            EngineMode::Sparse => self.auditor.audit_subset(
-                self.epoch,
-                &self.topo,
-                &self.prev_active,
-                |p, buf| buf.extend_from_slice(manager.replicas(p)),
-                |p| pinned.contains(&p),
-            ),
-            EngineMode::Dense => self.auditor.audit(
-                self.epoch,
-                &self.topo,
-                |p, buf| buf.extend_from_slice(manager.replicas(p)),
-                |p| pinned.contains(&p),
-            ),
-        } as usize;
+        // Audit the active set plus the auditor's own watch list of
+        // armed / dead-replica partitions; the violation stream equals a
+        // full sweep's because only actions can change a partition's
+        // audit state, actions land on active partitions, and deferred
+        // repairs either hit watched partitions or leave the audit
+        // outcome unchanged.
+        snap.invariant_violations = self.auditor.audit_subset(
+            self.epoch,
+            &self.topo,
+            &self.prev_active,
+            |p, buf| buf.extend_from_slice(manager.replicas(p)),
+            |p| pinned.contains(&p),
+        ) as usize;
         self.profiler.stop(PHASE_METRICS, me_t1);
         self.recorder.end_epoch(self.policy.name(), self.epoch);
         self.epoch += 1;

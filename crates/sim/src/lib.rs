@@ -46,7 +46,7 @@ pub mod report;
 pub mod runner;
 pub mod simulation;
 
-pub use kernel::{Availability, EngineMode, EpochKernel, Executor, PlacementOnly};
+pub use kernel::{Availability, EpochKernel, Executor, PlacementOnly};
 pub use metrics::{recovery_epochs, EpochSnapshot, Metrics};
 pub use planner::{
     link_between, LinkKey, MoveClass, MoveReq, PlanOutcome, PlannerConfig, TransferPlanner,

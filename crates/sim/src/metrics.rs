@@ -244,36 +244,22 @@ pub fn recovery_epochs(metrics: &Metrics, fail_epoch: u64, tolerance: f64) -> Op
 /// Compute the mean replica utilization of eq. (23) for one epoch:
 /// every `(partition, server)` pair that hosts replica capacity
 /// contributes `min(1, served / capacity)`; the mean is over replicas.
-pub fn mean_utilization(view: &PlacementView, accounts: &TrafficAccounts) -> f64 {
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for p_idx in 0..view.partitions() {
-        let p = PartitionId::new(p_idx);
-        total = add_utilization(total, view, accounts, p);
-        count += view.cells(p).len();
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
-    }
-}
-
-/// [`mean_utilization`] over a sparse active set: only the replicas of
-/// `active` partitions can have served anything this epoch, so every
-/// skipped replica contributes an exact `+0.0` term to the numerator —
-/// the additive identity on this non-negative accumulator — while the
-/// denominator comes from the view's O(1) cell counter. Bit-identical
-/// to the dense scan whenever the sparse invariant holds (every
-/// partition with served traffic is in `active`, ascending).
-pub fn mean_utilization_active(
-    view: &PlacementView,
-    accounts: &TrafficAccounts,
-    active: &[u32],
-) -> f64 {
+///
+/// Only the replicas of `active` partitions (ascending) can have served
+/// anything this epoch, so the numerator walks those alone: every
+/// skipped replica would contribute an exact `+0.0` term — the additive
+/// identity on this non-negative accumulator. The denominator comes
+/// from the view's O(1) cell counter. The result is bit-identical to a
+/// scan of every partition whenever every partition with served
+/// traffic is in `active`.
+pub fn mean_utilization(view: &PlacementView, accounts: &TrafficAccounts, active: &[u32]) -> f64 {
     let mut total = 0.0;
     for &pu in active {
-        total = add_utilization(total, view, accounts, PartitionId::new(pu));
+        let p = PartitionId::new(pu);
+        for &(s, cap) in view.cells(p) {
+            debug_assert!(cap > 0.0);
+            total += (accounts.served(p, s) / cap).min(1.0);
+        }
     }
     let count = view.nonzero_cells();
     if count == 0 {
@@ -281,21 +267,6 @@ pub fn mean_utilization_active(
     } else {
         total / count as f64
     }
-}
-
-/// Add `min(1, served / capacity)` of every replica cell of `p` to
-/// `total`, ascending by server id.
-fn add_utilization(
-    mut total: f64,
-    view: &PlacementView,
-    accounts: &TrafficAccounts,
-    p: PartitionId,
-) -> f64 {
-    for &(s, cap) in view.cells(p) {
-        debug_assert!(cap > 0.0);
-        total += (accounts.served(p, s) / cap).min(1.0);
-    }
-    total
 }
 
 /// eq. (25): population standard deviation of per-alive-server load.
@@ -385,7 +356,7 @@ mod tests {
     mod utilization {
         use super::super::*;
         use rfh_topology::TopologyBuilder;
-        use rfh_traffic::TrafficEngine;
+        use rfh_traffic::compute_traffic;
         use rfh_types::{Continent, DatacenterId, GeoPoint};
         use rfh_workload::QueryLoad;
 
@@ -404,10 +375,54 @@ mod tests {
             view.add_capacity(PartitionId::new(0), ServerId::new(1), 10.0);
             let mut load = QueryLoad::zeros(1, 1);
             load.add(PartitionId::new(0), DatacenterId::new(0), 10);
-            let acc = TrafficEngine::new().account(&topo, &load, &view).clone();
+            let acc = compute_traffic(&topo, &load, &view);
             // Server 0 absorbs all 10 (first in DC order): 1.0; server 1
             // idles: 0.0 → mean 0.5.
-            assert!((mean_utilization(&view, &acc) - 0.5).abs() < 1e-12);
+            assert!((mean_utilization(&view, &acc, &[0]) - 0.5).abs() < 1e-12);
+        }
+
+        /// The reference: eq. (23) scanned over every partition, the
+        /// denominator counted cell by cell.
+        fn full_scan(view: &PlacementView, acc: &TrafficAccounts) -> f64 {
+            let (mut total, mut count) = (0.0, 0usize);
+            for p in (0..view.partitions()).map(PartitionId::new) {
+                for &(s, cap) in view.cells(p) {
+                    total += (acc.served(p, s) / cap).min(1.0);
+                }
+                count += view.cells(p).len();
+            }
+            if count == 0 {
+                0.0
+            } else {
+                total / count as f64
+            }
+        }
+
+        #[test]
+        fn active_set_utilization_bit_equals_full_scan() {
+            // Six partitions over two servers, capacity on every one,
+            // load on 1 and 4 only: the active walk must reproduce the
+            // full scan's f64 bit for bit, for the touched set and for
+            // any superset of it.
+            let topo = one_dc();
+            let mut view = PlacementView::new(6, 2, vec![ServerId::new(0); 6]);
+            for p in 0..6 {
+                view.add_capacity(PartitionId::new(p), ServerId::new(p % 2), 3.0 + p as f64);
+                view.add_capacity(PartitionId::new(p), ServerId::new(1 - p % 2), 7.0);
+            }
+            let mut load = QueryLoad::zeros(6, 1);
+            load.add(PartitionId::new(1), DatacenterId::new(0), 5);
+            load.add(PartitionId::new(4), DatacenterId::new(0), 9);
+            let acc = compute_traffic(&topo, &load, &view);
+            let reference = full_scan(&view, &acc);
+            assert!(reference > 0.0);
+            for active in [&[1, 4][..], &[0, 1, 4], &[0, 1, 2, 3, 4, 5]] {
+                assert_eq!(
+                    mean_utilization(&view, &acc, active).to_bits(),
+                    reference.to_bits(),
+                    "active {active:?}"
+                );
+            }
         }
 
         #[test]
@@ -415,8 +430,8 @@ mod tests {
             let topo = one_dc();
             let view = PlacementView::new(1, 2, vec![ServerId::new(0)]);
             let load = QueryLoad::zeros(1, 1);
-            let acc = TrafficEngine::new().account(&topo, &load, &view).clone();
-            assert_eq!(mean_utilization(&view, &acc), 0.0);
+            let acc = compute_traffic(&topo, &load, &view);
+            assert_eq!(mean_utilization(&view, &acc, &[0]), 0.0);
         }
 
         #[test]
@@ -426,7 +441,7 @@ mod tests {
             view.add_capacity(PartitionId::new(0), ServerId::new(0), 100.0);
             let mut load = QueryLoad::zeros(1, 1);
             load.add(PartitionId::new(0), DatacenterId::new(0), 50);
-            let acc = TrafficEngine::new().account(&topo, &load, &view).clone();
+            let acc = compute_traffic(&topo, &load, &view);
             // Loads are [50, 0] → stddev 25.
             assert!((epoch_load_imbalance(&topo, &acc) - 25.0).abs() < 1e-12);
         }

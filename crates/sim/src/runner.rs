@@ -8,7 +8,7 @@
 //! sequential execution (a test asserts this). The only shared state is
 //! the immutable recorded workload trace.
 
-use crate::simulation::{EngineMode, SimParams, SimResult, Simulation};
+use crate::simulation::{SimParams, SimResult, Simulation};
 use rfh_core::PolicyKind;
 use rfh_obs::Recorder;
 use rfh_types::{Result, RfhError};
@@ -48,9 +48,6 @@ pub struct ObsOptions {
     /// Shared decision-event sink; events from all four policies land
     /// in it (each tagged with its policy label).
     pub recorder: Option<Arc<dyn Recorder>>,
-    /// Epoch engine for every policy's run. Defaults to
-    /// [`EngineMode::Sparse`]; either mode yields bit-identical results.
-    pub engine: EngineMode,
 }
 
 /// Run all four policies with identical parameters and workload.
@@ -82,12 +79,10 @@ pub fn run_comparison_observed(base: &SimParams, obs: &ObsOptions) -> Result<Com
                     let trace = Arc::clone(&trace);
                     let recorder = obs.recorder.clone();
                     let profile = obs.profile;
-                    let engine = obs.engine;
                     scope.spawn(move |_| {
                         let mut sim = Simulation::new(params)?
                             .with_shared_trace(trace)
-                            .with_profiling(profile)
-                            .with_engine(engine);
+                            .with_profiling(profile);
                         if let Some(rec) = recorder {
                             sim = sim.with_recorder(rec);
                         }

@@ -15,8 +15,6 @@ use rfh_types::{PartitionId, Result, RfhError, ServerId, SimConfig};
 use rfh_workload::{ClusterEvent, EventSchedule, QueryLoad, Scenario, Trace, WorkloadGenerator};
 use std::sync::Arc;
 
-pub use crate::kernel::EngineMode;
-
 /// Parameters of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimParams {
@@ -191,11 +189,15 @@ impl Simulation {
         self
     }
 
-    /// Select the epoch engine (see [`EngineMode`]; the default is
-    /// [`EngineMode::Sparse`]). Results are bit-identical either way —
-    /// the mode trades per-epoch cost only.
-    pub fn with_engine(mut self, mode: EngineMode) -> Self {
-        self.kernel = self.kernel.with_engine(mode);
+    /// Wrap the policy the kernel built — same worker pool, ring and
+    /// seed — in a decorator, e.g. one that observes or overrides
+    /// [`keeps_live`](ReplicationPolicy::keeps_live). The
+    /// `params.policy` kind is kept for labelling.
+    pub fn map_policy(
+        mut self,
+        wrap: impl FnOnce(Box<dyn ReplicationPolicy + Send>) -> Box<dyn ReplicationPolicy + Send>,
+    ) -> Self {
+        self.kernel = self.kernel.map_policy(wrap);
         self
     }
 
@@ -317,12 +319,12 @@ impl Simulation {
     }
 
     /// Export the run's counters into a metrics registry: epoch and
-    /// replica totals plus the traffic engine's cache effectiveness.
-    /// All values are lifetime totals written set-style, so collecting
-    /// into the same registry repeatedly is idempotent.
+    /// replica totals plus the traffic engine's pass counters. All
+    /// values are lifetime totals written set-style, so collecting into
+    /// the same registry repeatedly is idempotent.
     pub fn collect_metrics(&self, registry: &mut MetricsRegistry) {
         let k = &self.kernel;
-        let (dirty, skipped) = k.sparse_counters();
+        let stats = k.engine().stats();
         registry.counter_total("sim.epochs", k.epoch());
         registry.gauge("sim.replicas_total", k.manager().total_replicas() as f64);
         registry.counter_total("sim.fault_shortfall", k.fault_shortfall);
@@ -330,8 +332,9 @@ impl Simulation {
         registry.counter_total("sim.repairs.dead_letters", k.repair_queue().dead_letters());
         registry.gauge("sim.repairs.pending", k.repair_queue().len() as f64);
         registry.counter_total("sim.invariant_violations", k.auditor().total());
-        registry.counter_total("sim.sparse.dirty_partitions", dirty);
-        registry.counter_total("sim.sparse.skipped_partitions", skipped);
+        // One traffic pass per epoch, over the epoch's active set.
+        registry.counter_total("sim.sparse.dirty_partitions", stats.dirty_partitions);
+        registry.counter_total("sim.sparse.skipped_partitions", stats.skipped_partitions);
         if let Some(planner) = k.planner() {
             registry.counter_total("sim.planner.admitted", planner.admitted_total());
             registry.counter_total("sim.planner.deferred", planner.deferred_total());
@@ -346,7 +349,7 @@ impl Simulation {
             registry.gauge("sim.availability.sub_rmin_peak", self.sub_rmin_peak as f64);
         }
         registry.gauge("sim.placement.spread_score", self.spread_score());
-        k.engine().stats().collect_metrics(registry);
+        stats.collect_metrics(registry);
     }
 
     /// Mean failure-domain spread of the current placement: per
@@ -461,23 +464,6 @@ mod tests {
             "demand must add replicas beyond the floor: {:?}",
             replicas.last()
         );
-    }
-
-    #[test]
-    fn sparse_equals_dense_for_every_policy() {
-        for kind in PolicyKind::ALL {
-            let dense = Simulation::new(quick_params(kind))
-                .unwrap()
-                .with_engine(EngineMode::Dense)
-                .run()
-                .unwrap();
-            let sparse = Simulation::new(quick_params(kind))
-                .unwrap()
-                .with_engine(EngineMode::Sparse)
-                .run()
-                .unwrap();
-            assert_eq!(dense, sparse, "{kind}: sparse engine must be bit-identical");
-        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn observed_comparison_matches_plain_comparison() {
     let plain = run_comparison(&params).unwrap();
 
     let rec = Arc::new(TraceRecorder::new());
-    let obs = ObsOptions { profile: true, recorder: Some(rec.clone()), ..Default::default() };
+    let obs = ObsOptions { profile: true, recorder: Some(rec.clone()) };
     let observed = run_comparison_observed(&params, &obs).unwrap();
 
     for kind in PolicyKind::ALL {
@@ -77,7 +77,7 @@ fn observed_comparison_matches_plain_comparison() {
 fn shared_recorder_attributes_events_to_the_right_policy() {
     let params = base(Scenario::RandomEven);
     let shared = Arc::new(TraceRecorder::new());
-    let obs = ObsOptions { profile: false, recorder: Some(shared.clone()), ..Default::default() };
+    let obs = ObsOptions { profile: false, recorder: Some(shared.clone()) };
     run_comparison_observed(&params, &obs).unwrap();
     let merged = shared.events();
 

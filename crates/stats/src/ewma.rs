@@ -22,8 +22,8 @@
 /// non-negative values) in a bounded number of steps, so iteration stops
 /// as soon as one step no longer changes the bits. A naive single
 /// multiply by `alpha^n` is **not** used because it rounds differently
-/// from the step-by-step recurrence and would break dense/sparse
-/// bit-equality.
+/// from the step-by-step recurrence and would break the bit-equality of
+/// lazily decayed cells with step-by-step folded ones.
 ///
 /// Note the `+ (1 − alpha)·0.0` term is kept: adding `+0.0` normalises
 /// `-0.0` to `+0.0`, exactly as the explicit recurrence does.

@@ -72,10 +72,10 @@ pub struct TrafficAccounts {
     pub unserved: Vec<f64>,
     /// Datacenter of each partition's holder at the time of the pass.
     ///
-    /// Dense passes rebuild every entry; sparse passes only re-assign
-    /// the entries of active partitions (an inactive partition's holder
-    /// cannot have moved since the pass that last wrote it, because
-    /// every placement action marks its partition dirty).
+    /// A persistent map: each pass re-assigns the entries of its active
+    /// partitions only (an inactive partition's holder cannot have moved
+    /// since the pass that last wrote it, because every placement action
+    /// marks its partition dirty).
     pub holder_dc: Vec<DatacenterId>,
     /// Per-server total served queries (`l_i`), cached by the engine at
     /// the end of every pass so [`server_load`](Self::server_load) is
@@ -141,14 +141,14 @@ impl TrafficAccounts {
             && self.holder_dc.len() == n_parts
     }
 
-    /// Sparse-pass reset: zero only the per-partition cells the previous
-    /// sparse pass wrote (`prev`) plus every pass-global accumulator.
+    /// Partial reset: zero only the per-partition cells the previous
+    /// pass wrote (`prev`) plus every pass-global accumulator.
     /// All other per-partition cells are already zero by the sparse
     /// invariant — a partition outside the active set carries no load —
     /// so this is equivalent to [`reset`](Self::reset) at the same shape
     /// in O(prev × datacenters + cells) instead of O(partitions).
-    /// `holder_dc` is deliberately left alone: it is a persistent map in
-    /// sparse mode, not a per-pass account; the per-server loads are
+    /// `holder_dc` is deliberately left alone: it is a persistent map,
+    /// not a per-pass account; the per-server loads are
     /// rebuilt by [`fold_server_loads`](Self::fold_server_loads).
     pub(crate) fn clear_sparse(&mut self, prev: &[u32]) {
         for &p in prev {
@@ -167,9 +167,9 @@ impl TrafficAccounts {
 
     /// Fold the per-server loads from the served cells of `parts`
     /// (ascending), one cell per `(server, partition)`. A server without
-    /// a cell in some partition adds nothing, which equals adding the
-    /// dense pass's exact `+0.0` to these non-negative sums, so each
-    /// load is bit-identical to a dense sum over every partition.
+    /// a cell in some partition adds nothing, which equals adding an
+    /// exact `+0.0` to these non-negative sums, so each load is
+    /// bit-identical to a sum over every partition.
     pub(crate) fn fold_server_loads(&mut self, parts: impl Iterator<Item = usize>) {
         self.server_loads.fill(0.0);
         for p in parts {
@@ -271,14 +271,16 @@ impl TrafficAccounts {
 /// `view` must describe the same cluster as `topo` (same server count)
 /// and the same partition count as `load`.
 ///
-/// This is the one-shot compatibility entry point: it builds a
-/// throwaway [`crate::engine::TrafficEngine`], runs a single
-/// [`account`](crate::engine::TrafficEngine::account) pass, and hands
-/// the accounts back by value. Callers in a loop should hold an engine
-/// instead and reuse its buffers across epochs.
+/// This is the one-shot reference pass: it builds a throwaway
+/// [`crate::engine::TrafficEngine`], runs a single
+/// [`account_active`](crate::engine::TrafficEngine::account_active)
+/// pass over *every* partition, and hands the accounts back by value.
+/// Callers in a loop should hold an engine instead, reuse its buffers
+/// across epochs, and pass only the partitions that can carry load.
 pub fn compute_traffic(topo: &Topology, load: &QueryLoad, view: &PlacementView) -> TrafficAccounts {
+    let all: Vec<u32> = (0..load.partitions()).collect();
     let mut engine = crate::engine::TrafficEngine::new();
-    engine.account(topo, load, view);
+    engine.account_active(topo, load, view, &all, None);
     engine.into_accounts()
 }
 

@@ -14,10 +14,15 @@
 //!   [`generation`](rfh_topology::Topology::generation) moves;
 //! * per-generation membership caches: each server's datacenter and its
 //!   rank in the visit order (below);
-//! * a capacity index keyed on [`PlacementView::version`]: each
-//!   partition's alive capacity-bearing servers, grouped per datacenter
-//!   in visit order;
+//! * a capacity index over the pass's active partitions: each one's
+//!   alive capacity-bearing servers, grouped per datacenter in visit
+//!   order;
 //! * per-shard working buffers, zeroed in place each pass.
+//!
+//! Every pass is a *sparse* pass over a sorted active list (see
+//! [`account_active`](TrafficEngine::account_active)); a pass over all
+//! partitions is the one-shot reference
+//! [`compute_traffic`](crate::absorption::compute_traffic).
 //!
 //! ## Visit order and fold order
 //!
@@ -34,8 +39,7 @@
 //! * **Fold order.** Each server's load is folded in ascending partition
 //!   order, one served cell per `(server, partition)`. A partition where
 //!   the server served nothing has no cell and adds nothing, which is
-//!   bit-identical to adding the dense pass's `+0.0` to these
-//!   non-negative sums.
+//!   bit-identical to adding a `+0.0` term to these non-negative sums.
 //!
 //! ## Sharded pass, canonical merge
 //!
@@ -49,14 +53,14 @@
 //! associative — so the engine defines their *canonical* value as
 //! per-partition subtotals folded in ascending partition order.
 //!
-//! The pass therefore runs as contiguous partition shards (one shard
-//! serially; [`account_sharded`](TrafficEngine::account_sharded) fans
-//! shards out over a [`WorkerPool`]) followed by a serial merge that
-//! walks shards — hence partitions — in ascending order. Serial and
-//! parallel execution share the shard code and the merge, so the output
-//! is bit-identical for any thread count (property-tested in
-//! `tests/prop_parallel.rs`), and `compute_traffic` (a one-shot,
-//! single-shard engine) stays the semantic reference.
+//! The pass therefore runs as contiguous shards of the active list (one
+//! shard serially; given a [`WorkerPool`], one per worker) followed by a
+//! serial merge that walks shards — hence partitions — in ascending
+//! order. Serial and parallel execution share the shard code and the
+//! merge, so the output is bit-identical for any thread count
+//! (property-tested in `tests/prop_parallel.rs`), and `compute_traffic`
+//! (a one-shot, single-shard pass over every partition) stays the
+//! semantic reference.
 
 use rfh_obs::MetricsRegistry;
 use rfh_pool::{shard_bounds, WorkerPool};
@@ -75,9 +79,10 @@ const DEAD: u32 = u32::MAX;
 ///
 /// One engine serves one topology lineage: it keys its caches on
 /// [`Topology::generation`] and refreshes them lazily inside
-/// [`account`](Self::account). Engines are cheap to create but only pay
-/// off when reused; they are deliberately *not* shared between policy
-/// threads — give each thread its own (share-nothing).
+/// [`account_active`](Self::account_active). Engines are cheap to
+/// create but only pay off when reused; they are deliberately *not*
+/// shared between policy threads — give each thread its own
+/// (share-nothing).
 #[derive(Debug, Clone)]
 pub struct TrafficEngine {
     routes: RouteTable,
@@ -89,27 +94,21 @@ pub struct TrafficEngine {
     /// ascending, then each datacenter's `server_ids()` order — indexed
     /// by server id; [`DEAD`] for failed servers.
     server_rank: Vec<u32>,
-    /// Capacity index over the partitions of the last indexed pass.
+    /// Capacity index over the active list of the last pass.
     index: CapIndex,
-    /// [`PlacementView::version`] the capacity index was built for on
-    /// the dense path: while neither it nor the topology generation
-    /// moves, the index stays valid and the pass skips the rebuild.
-    view_version: Option<u64>,
     /// Per-shard working buffers; one shard on the serial path.
     shards: Vec<Shard>,
     accounts: TrafficAccounts,
-    /// Active set of the previous *sparse* pass: the partitions whose
-    /// account cells that pass wrote. `Some` ⇒ the accounts can be
-    /// cleared in O(prev) instead of O(partitions) by the next sparse
-    /// pass; `None` (after a dense pass, a shape change, or at birth)
-    /// forces a full reset first.
-    sparse_prev: Option<Vec<u32>>,
+    /// Active list of the previous pass: the partitions whose account
+    /// cells it wrote, so the next pass at the same shape clears the
+    /// accounts in O(prev) instead of O(partitions).
+    prev_active: Vec<u32>,
     stats: EngineStats,
 }
 
 /// Which servers are worth visiting per `(position, datacenter)` pair,
-/// with the capacity each offers. Positions are partition ids on the
-/// dense path and indices into the active list on the sparse path.
+/// with the capacity each offers. Positions are indices into the pass's
+/// active list.
 #[derive(Debug, Clone, Default)]
 struct CapIndex {
     /// Segment bounds into [`cells`](Self::cells): entry
@@ -155,22 +154,15 @@ impl CapIndex {
     fn finish(&mut self) {
         self.offsets.push(self.cells.len() as u32);
     }
-
-    /// Whether the index covers `positions` positions of `n_dcs`
-    /// datacenters.
-    fn has_shape(&self, positions: usize, n_dcs: usize) -> bool {
-        self.offsets.len() == positions * n_dcs + 1
-    }
 }
 
-/// Shard-local working state for a contiguous partition range
-/// `[lo, hi)`. Everything a shard writes during the pass lands here;
+/// Shard-local working state for a contiguous range `[lo, hi)` of the
+/// active list. Everything a shard writes during the pass lands here;
 /// the global accounts are assembled afterwards by the canonical merge.
 #[derive(Debug, Clone)]
 struct Shard {
-    /// First position of the shard's partition range (a global
-    /// partition index on the dense path; an index into the pass's
-    /// active list on the sparse path).
+    /// First position of the shard's range (an index into the pass's
+    /// active list).
     lo: usize,
     /// One past the last position.
     hi: usize,
@@ -250,35 +242,24 @@ struct PassCtx<'a> {
     n_dcs: usize,
     load: &'a QueryLoad,
     view: &'a PlacementView,
-    /// Sparse pass: positions map through this active list to global
+    /// The pass's active list: positions map through it to global
     /// partition ids, and the capacity index is keyed by *position*.
-    /// Dense pass (`None`): position == partition id.
-    parts: Option<&'a [u32]>,
+    parts: &'a [u32],
 }
 
-/// Cache-effectiveness counters of a [`TrafficEngine`]: how often the
-/// per-epoch pass got away with the fast capacity-restore path versus
-/// paying a topology rebuild or a full capacity re-index.
+/// Lifetime counters of a [`TrafficEngine`]: passes run, route-cache
+/// rebuilds, and how much of the partition space the passes visited.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Traffic passes run ([`TrafficEngine::account`] calls).
+    /// Traffic passes run ([`TrafficEngine::account_active`] calls).
     pub passes: u64,
     /// Route/membership cache rebuilds (topology generation moved).
     pub topo_rebuilds: u64,
-    /// Full capacity-index sweeps (rebuild, reshape, or the
-    /// [`PlacementView::version`] stamp moved).
-    pub index_rebuilds: u64,
-    /// Fast-path passes: index valid, only consumed capacities restored
-    /// — the capacity sweep was skipped entirely.
-    pub fast_restores: u64,
-    /// Sparse passes run ([`TrafficEngine::account_active`] calls),
-    /// also counted in [`passes`](Self::passes).
-    pub sparse_passes: u64,
-    /// Partitions visited by sparse passes, cumulative: the dirty-set
-    /// work the engine actually performed.
+    /// Partitions visited, cumulative: the length of every pass's
+    /// active list — the dirty-set work the engine actually performed.
     pub dirty_partitions: u64,
-    /// Partitions sparse passes skipped, cumulative: the dense work the
-    /// dirty-set pass avoided.
+    /// Partitions left out of the passes' active lists, cumulative: the
+    /// work a sweep over every partition would have added.
     pub skipped_partitions: u64,
 }
 
@@ -289,9 +270,6 @@ impl EngineStats {
     pub fn collect_metrics(&self, registry: &mut MetricsRegistry) {
         registry.counter_total("traffic.engine.passes", self.passes);
         registry.counter_total("traffic.engine.topo_rebuilds", self.topo_rebuilds);
-        registry.counter_total("traffic.engine.index_rebuilds", self.index_rebuilds);
-        registry.counter_total("traffic.engine.fast_restores", self.fast_restores);
-        registry.counter_total("traffic.engine.sparse_passes", self.sparse_passes);
         registry.counter_total("traffic.engine.dirty_partitions", self.dirty_partitions);
         registry.counter_total("traffic.engine.skipped_partitions", self.skipped_partitions);
     }
@@ -305,7 +283,7 @@ impl Default for TrafficEngine {
 
 impl TrafficEngine {
     /// A fresh engine with empty buffers; the first
-    /// [`account`](Self::account) sizes everything.
+    /// [`account_active`](Self::account_active) sizes everything.
     pub fn new() -> Self {
         TrafficEngine {
             routes: RouteTable::new(),
@@ -313,10 +291,9 @@ impl TrafficEngine {
             server_dc: Vec::new(),
             server_rank: Vec::new(),
             index: CapIndex::default(),
-            view_version: None,
             shards: Vec::new(),
             accounts: TrafficAccounts::empty(),
-            sparse_prev: None,
+            prev_active: Vec::new(),
             stats: EngineStats::default(),
         }
     }
@@ -332,7 +309,7 @@ impl TrafficEngine {
     }
 
     /// Refresh route + membership caches if `topo`'s generation moved
-    /// (or on first use). Called by [`account`](Self::account); exposed
+    /// (or on first use). Called by every pass; exposed
     /// for tests and for callers that want to pay the rebuild outside
     /// the measured pass.
     pub fn sync_topology(&mut self, topo: &Topology) -> bool {
@@ -360,97 +337,30 @@ impl TrafficEngine {
         true
     }
 
-    /// Run the traffic pass for one epoch, reusing every buffer.
+    /// Run the traffic pass for one epoch over the `active` partitions
+    /// (sorted ascending, deduplicated), reusing every buffer and
+    /// leaving every other partition's account cells untouched. With a
+    /// `pool`, the shard passes fan out over it, one contiguous slice of
+    /// the active list per worker; the merge is serial and ascending, so
+    /// the result is bit-identical to the serial pass for any pool size.
     ///
-    /// Semantics (and bit-level output) match
-    /// [`compute_traffic`](crate::absorption::compute_traffic):
     /// `view` must describe the same cluster as `topo` (same server
     /// count) and the same partition count as `load`. The returned
     /// borrow is valid until the next call on this engine.
-    pub fn account(
-        &mut self,
-        topo: &Topology,
-        load: &QueryLoad,
-        view: &PlacementView,
-    ) -> &TrafficAccounts {
-        self.account_with(topo, load, view, None)
-    }
-
-    /// [`account`](Self::account), with the shard passes fanned out
-    /// over `pool` (one contiguous partition shard per worker). The
-    /// merge is serial and walks partitions in ascending order, so the
-    /// result is bit-identical to the serial pass for any pool size.
-    pub fn account_sharded(
-        &mut self,
-        topo: &Topology,
-        load: &QueryLoad,
-        view: &PlacementView,
-        pool: &WorkerPool,
-    ) -> &TrafficAccounts {
-        self.account_with(topo, load, view, Some(pool))
-    }
-
-    fn account_with(
-        &mut self,
-        topo: &Topology,
-        load: &QueryLoad,
-        view: &PlacementView,
-        pool: Option<&WorkerPool>,
-    ) -> &TrafficAccounts {
-        let rebuilt = self.sync_topology(topo);
-        self.stats.passes += 1;
-
-        let n_dcs = topo.datacenters().len();
-        let n_parts = load.partitions() as usize;
-        let n_servers = topo.server_count();
-        debug_assert_eq!(view.partitions() as usize, n_parts);
-        debug_assert_eq!(view.servers() as usize, n_servers);
-
-        self.accounts.reset(n_dcs, n_parts, n_servers);
-        // A dense pass rewrites every cell; the sparse partial-clear
-        // bookkeeping no longer describes the accounts.
-        self.sparse_prev = None;
-        if rebuilt
-            || !self.index.has_shape(n_parts, n_dcs)
-            || self.view_version != Some(view.version())
-        {
-            self.stats.index_rebuilds += 1;
-            self.index.clear(n_parts, n_dcs);
-            for p_idx in 0..n_parts {
-                self.index.push_partition(
-                    view.cells(PartitionId::new(p_idx as u32)),
-                    &self.server_rank,
-                    &self.server_dc,
-                    n_dcs,
-                );
-            }
-            self.index.finish();
-            self.view_version = Some(view.version());
-        } else {
-            self.stats.fast_restores += 1;
-        }
-
-        self.run_pass(n_parts, n_dcs, load, view, None, pool);
-        self.accounts.fold_server_loads(0..n_parts);
-        &self.accounts
-    }
-
-    /// Sparse traffic pass: account only the `active` partitions
-    /// (sorted ascending, deduplicated), leaving every other
-    /// partition's account cells untouched.
     ///
     /// ## Contract
     ///
     /// `active` must contain **every partition with non-zero load this
     /// epoch** (supersets are fine). Under that contract the result is
-    /// bit-identical to a dense [`account`](Self::account) pass on every
-    /// account the callers read: an inactive partition carries zero
-    /// load, so the dense pass would write exact zeros into its cells
+    /// bit-identical to a pass over every partition
+    /// ([`compute_traffic`](crate::absorption::compute_traffic)) on
+    /// every account the callers read: an inactive partition carries
+    /// zero load, so a full pass would write exact zeros into its cells
     /// (which the sparse invariant already guarantees) and contribute
     /// exact `+0.0` terms to the five cross-partition scalars and the
     /// per-server load sums — the additive identity on these
     /// non-negative accumulators. The one deliberate exception is
-    /// [`TrafficAccounts::holder_dc`], which sparse passes maintain as a
+    /// [`TrafficAccounts::holder_dc`], which the engine maintains as a
     /// persistent map: an inactive partition keeps its last-written
     /// holder datacenter (still correct — placement changes dirty their
     /// partition) instead of being re-derived each pass.
@@ -460,36 +370,10 @@ impl TrafficEngine {
         load: &QueryLoad,
         view: &PlacementView,
         active: &[u32],
-    ) -> &TrafficAccounts {
-        self.account_active_with(topo, load, view, active, None)
-    }
-
-    /// [`account_active`](Self::account_active) with the shard passes
-    /// fanned out over `pool`, sharding the *active list* instead of the
-    /// full partition range. Bit-identical to the serial sparse pass for
-    /// any pool size (same shard code, same ascending canonical merge).
-    pub fn account_active_sharded(
-        &mut self,
-        topo: &Topology,
-        load: &QueryLoad,
-        view: &PlacementView,
-        active: &[u32],
-        pool: &WorkerPool,
-    ) -> &TrafficAccounts {
-        self.account_active_with(topo, load, view, active, Some(pool))
-    }
-
-    fn account_active_with(
-        &mut self,
-        topo: &Topology,
-        load: &QueryLoad,
-        view: &PlacementView,
-        active: &[u32],
         pool: Option<&WorkerPool>,
     ) -> &TrafficAccounts {
         self.sync_topology(topo);
         self.stats.passes += 1;
-        self.stats.sparse_passes += 1;
 
         let n_dcs = topo.datacenters().len();
         let n_parts = load.partitions() as usize;
@@ -507,28 +391,20 @@ impl TrafficEngine {
         self.stats.dirty_partitions += active.len() as u64;
         self.stats.skipped_partitions += (n_parts - active.len()) as u64;
 
-        // Reset the accounts: O(prev) when the previous pass was sparse
-        // at the same shape, full otherwise. Inactive cells stay zero
-        // either way (the sparse invariant).
-        match self.sparse_prev.take() {
-            Some(mut prev) if self.accounts.has_shape(n_dcs, n_parts, n_servers) => {
-                self.accounts.clear_sparse(&prev);
-                prev.clear();
-                prev.extend_from_slice(active);
-                self.sparse_prev = Some(prev);
-            }
-            _ => {
-                self.accounts.reset(n_dcs, n_parts, n_servers);
-                // holder_dc is a persistent map on the sparse path.
-                self.accounts.holder_dc.resize(n_parts, DatacenterId::new(0));
-                self.sparse_prev = Some(active.to_vec());
-            }
+        // Reset the accounts: O(prev) at the same shape, full otherwise.
+        // Inactive cells stay zero either way (the sparse invariant).
+        if self.accounts.has_shape(n_dcs, n_parts, n_servers) {
+            self.accounts.clear_sparse(&self.prev_active);
+        } else {
+            self.accounts.reset(n_dcs, n_parts, n_servers);
+            // holder_dc is a persistent map across passes.
+            self.accounts.holder_dc.resize(n_parts, DatacenterId::new(0));
         }
+        self.prev_active.clear();
+        self.prev_active.extend_from_slice(active);
 
         // Build the capacity index over the active list, keyed by
-        // *position* — the same per-partition build as the dense index,
-        // restricted to the partitions this pass visits. The dense index
-        // cache is clobbered, so drop its validity stamp.
+        // *position*.
         self.index.clear(active.len(), n_dcs);
         for &pu in active {
             self.index.push_partition(
@@ -539,30 +415,28 @@ impl TrafficEngine {
             );
         }
         self.index.finish();
-        self.view_version = None;
 
-        self.run_pass(active.len(), n_dcs, load, view, Some(active), pool);
+        self.run_pass(n_dcs, load, view, active, pool);
         self.accounts.fold_server_loads(active.iter().map(|&p| p as usize));
         &self.accounts
     }
 
-    /// Lay the shards out over `positions` positions, run them, and
+    /// Lay the shards out over the positions of `parts`, run them, and
     /// merge them into the accounts. The serial path is the one-shard
     /// case of the same code, which is what makes serial ≡ parallel
     /// structural rather than coincidental.
     fn run_pass(
         &mut self,
-        positions: usize,
         n_dcs: usize,
         load: &QueryLoad,
         view: &PlacementView,
-        parts: Option<&[u32]>,
+        parts: &[u32],
         pool: Option<&WorkerPool>,
     ) {
         let n_shards = pool.map_or(1, WorkerPool::size).max(1);
         self.shards.resize_with(n_shards, Shard::default);
         for (k, shard) in self.shards.iter_mut().enumerate() {
-            let (lo, hi) = shard_bounds(positions, n_shards, k);
+            let (lo, hi) = shard_bounds(parts.len(), n_shards, k);
             shard.layout(lo, hi, n_dcs);
         }
         let ctx = PassCtx {
@@ -593,7 +467,7 @@ impl TrafficEngine {
 }
 
 /// Run every shard, fanned out over `pool` when one is given and worth
-/// using. Shared by the dense and sparse passes.
+/// using.
 fn run_shards(shards: &mut [Shard], ctx: &PassCtx<'_>, pool: Option<&WorkerPool>) {
     match pool {
         Some(pool) if shards.len() > 1 => {
@@ -615,23 +489,13 @@ fn run_shards(shards: &mut [Shard], ctx: &PassCtx<'_>, pool: Option<&WorkerPool>
 
 /// Canonical merge: shards ascending — hence positions, hence
 /// partitions ascending — regardless of how many shards ran or on which
-/// threads they finished. On the sparse path (`parts` given) positions
-/// map through the active list and `holder_dc` is written by index into
-/// the persistent map; the dense path rebuilds `holder_dc` by push.
-fn merge_shards(acc: &mut TrafficAccounts, shards: &[Shard], parts: Option<&[u32]>) {
+/// threads they finished. Positions map through the active list `parts`
+/// and `holder_dc` is written by index into the persistent map.
+fn merge_shards(acc: &mut TrafficAccounts, shards: &[Shard], parts: &[u32]) {
     for shard in shards {
         for (i, pos) in (shard.lo..shard.hi).enumerate() {
-            let p_idx = match parts {
-                Some(ps) => {
-                    let p_idx = ps[pos] as usize;
-                    acc.holder_dc[p_idx] = shard.holder_dc[i];
-                    p_idx
-                }
-                None => {
-                    acc.holder_dc.push(shard.holder_dc[i]);
-                    pos
-                }
-            };
+            let p_idx = parts[pos] as usize;
+            acc.holder_dc[p_idx] = shard.holder_dc[i];
             // The global rows were just zeroed and the shard rows only
             // accumulate positive residuals onto +0.0, so a whole-row
             // copy writes exactly the cells the pass touched.
@@ -655,7 +519,7 @@ fn merge_shards(acc: &mut TrafficAccounts, shards: &[Shard], parts: Option<&[u32
 /// within-partition order is the legacy accounting order — requesters
 /// ascending, hops in path order, indexed servers in visit order — so
 /// every per-partition quantity is computed by the exact `f64` sequence
-/// the one-shot pass uses, on the dense and sparse paths alike.
+/// the one-shot pass uses.
 fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard) {
     let Shard {
         lo,
@@ -676,14 +540,9 @@ fn run_shard(ctx: &PassCtx<'_>, shard: &mut Shard) {
     let cells = &ctx.index.cells;
 
     for (i, pos) in (*lo..*hi).enumerate() {
-        let p_idx = match ctx.parts {
-            Some(parts) => parts[pos] as usize,
-            None => pos,
-        };
-        let p = PartitionId::new(p_idx as u32);
+        let p = PartitionId::new(ctx.parts[pos]);
         // Load remaining capacity for this partition's indexed cells.
-        // The index is keyed by position: on the dense path position ==
-        // partition id.
+        // The index is keyed by position in the active list.
         let base = pos * n_dcs;
         let first = offsets[base] as usize;
         remaining.clear();
@@ -839,6 +698,11 @@ mod tests {
         view
     }
 
+    /// Every partition of a `parts`-partition load, ascending.
+    fn all(parts: u32) -> Vec<u32> {
+        (0..parts).collect()
+    }
+
     #[test]
     fn reused_engine_is_bit_identical_to_one_shot_pass() {
         let topo = chain();
@@ -847,8 +711,8 @@ mod tests {
         let mut engine = TrafficEngine::new();
         // Run twice on the same engine: the second pass exercises the
         // zero-in-place reset path.
-        engine.account(&topo, &load, &view);
-        let reused = engine.account(&topo, &load, &view).clone();
+        engine.account_active(&topo, &load, &view, &all(4), None);
+        let reused = engine.account_active(&topo, &load, &view, &all(4), None).clone();
         assert_eq!(reused, compute_traffic(&topo, &load, &view));
     }
 
@@ -861,9 +725,9 @@ mod tests {
         for workers in [1, 2, 3, 7, 11] {
             let pool = WorkerPool::new(workers);
             let mut engine = TrafficEngine::new();
-            // Twice: both the index-rebuild and the fast-restore pass.
-            engine.account_sharded(&topo, &load, &view, &pool);
-            let sharded = engine.account_sharded(&topo, &load, &view, &pool).clone();
+            // Twice: both the full reset and the partial-clear pass.
+            engine.account_active(&topo, &load, &view, &all(5), Some(&pool));
+            let sharded = engine.account_active(&topo, &load, &view, &all(5), Some(&pool)).clone();
             assert_eq!(sharded, serial, "{workers} workers");
         }
     }
@@ -879,60 +743,69 @@ mod tests {
         let mut engine = TrafficEngine::new();
         let big = WorkerPool::new(6);
         let small = WorkerPool::new(2);
-        assert_eq!(engine.account_sharded(&topo, &load, &view, &big), &serial);
-        assert_eq!(engine.account(&topo, &load, &view), &serial);
-        assert_eq!(engine.account_sharded(&topo, &load, &view, &small), &serial);
-        assert_eq!(engine.account_sharded(&topo, &load, &view, &big), &serial);
+        let full = all(4);
+        assert_eq!(engine.account_active(&topo, &load, &view, &full, Some(&big)), &serial);
+        assert_eq!(engine.account_active(&topo, &load, &view, &full, None), &serial);
+        assert_eq!(engine.account_active(&topo, &load, &view, &full, Some(&small)), &serial);
+        assert_eq!(engine.account_active(&topo, &load, &view, &full, Some(&big)), &serial);
     }
 
     #[test]
-    fn view_mutation_between_passes_invalidates_capacity_index() {
+    fn view_mutation_between_passes_matches_one_shot() {
         let topo = chain();
         let load = sample_load(4, 3);
         let mut view = sample_view(4, 3);
         let mut engine = TrafficEngine::new();
-        engine.account(&topo, &load, &view);
-        // Same view object, same version: the fast reload path.
-        assert_eq!(engine.account(&topo, &load, &view), &compute_traffic(&topo, &load, &view));
+        let full = all(4);
+        engine.account_active(&topo, &load, &view, &full, None);
+        assert_eq!(
+            engine.account_active(&topo, &load, &view, &full, None),
+            &compute_traffic(&topo, &load, &view)
+        );
 
         // Mutate the view in place (capacity appears on a new server
-        // and a holder moves): the version stamp must force a full
-        // re-index, keeping the engine bit-identical to the one-shot.
+        // and a holder moves): the reused engine must stay
+        // bit-identical to the one-shot pass.
         view.add_capacity(PartitionId::new(2), ServerId::new(0), 3.0);
         view.set_holder(PartitionId::new(0), ServerId::new(2));
-        assert_eq!(engine.account(&topo, &load, &view), &compute_traffic(&topo, &load, &view));
+        assert_eq!(
+            engine.account_active(&topo, &load, &view, &full, None),
+            &compute_traffic(&topo, &load, &view)
+        );
     }
 
     #[test]
-    fn stats_count_fast_and_slow_paths() {
+    fn stats_count_passes_rebuilds_and_visits() {
         let topo = chain();
         let load = sample_load(4, 3);
-        let mut view = sample_view(4, 3);
+        let view = sample_view(4, 3);
         let mut engine = TrafficEngine::new();
-        engine.account(&topo, &load, &view);
-        engine.account(&topo, &load, &view);
-        engine.account(&topo, &load, &view);
+        engine.account_active(&topo, &load, &view, &all(4), None);
+        engine.account_active(&topo, &load, &view, &all(4), None);
+        engine.account_active(&topo, &load, &view, &all(4), None);
         assert_eq!(
             engine.stats(),
             EngineStats {
                 passes: 3,
                 topo_rebuilds: 1,
-                index_rebuilds: 1,
-                fast_restores: 2,
-                ..EngineStats::default()
+                dirty_partitions: 12,
+                skipped_partitions: 0,
             }
         );
-        // A placement change forces a re-index on the next pass only.
-        view.add_capacity(PartitionId::new(1), ServerId::new(0), 2.0);
-        engine.account(&topo, &load, &view);
-        engine.account(&topo, &load, &view);
+        // A narrower pass visits fewer partitions and skips the rest.
+        let quiet = sparse_load(4, 3, &[1]);
+        engine.account_active(&topo, &quiet, &view, &[1, 3], None);
         let stats = engine.stats();
-        assert_eq!((stats.index_rebuilds, stats.fast_restores), (2, 3));
+        assert_eq!((stats.dirty_partitions, stats.skipped_partitions), (14, 2));
 
         let mut reg = MetricsRegistry::new();
         stats.collect_metrics(&mut reg);
-        assert_eq!(reg.get("traffic.engine.passes"), Some(&rfh_obs::Metric::Counter(5)));
-        assert_eq!(reg.get("traffic.engine.fast_restores"), Some(&rfh_obs::Metric::Counter(3)));
+        assert_eq!(reg.get("traffic.engine.passes"), Some(&rfh_obs::Metric::Counter(4)));
+        assert_eq!(reg.get("traffic.engine.topo_rebuilds"), Some(&rfh_obs::Metric::Counter(1)));
+        assert_eq!(
+            reg.get("traffic.engine.skipped_partitions"),
+            Some(&rfh_obs::Metric::Counter(2))
+        );
     }
 
     /// Load touching only `touched` partitions, shaped like
@@ -947,27 +820,23 @@ mod tests {
         load
     }
 
-    /// Assert a sparse pass result equals the dense reference on every
-    /// account callers read. `holder_dc` entries of inactive partitions
-    /// are persistent in sparse mode, so they are aligned to the dense
-    /// value before the whole-struct comparison.
-    fn assert_sparse_matches_dense(
-        sparse: &TrafficAccounts,
-        dense: &TrafficAccounts,
-        active: &[u32],
-    ) {
+    /// Assert a sparse pass result equals the one-shot full pass on
+    /// every account callers read. `holder_dc` entries of inactive
+    /// partitions are a persistent map, so they are aligned to the full
+    /// pass's value before the whole-struct comparison.
+    fn assert_matches_full_pass(sparse: &TrafficAccounts, full: &TrafficAccounts, active: &[u32]) {
         let mut sparse = sparse.clone();
-        for p in 0..dense.holder_dc.len() {
+        for p in 0..full.holder_dc.len() {
             if active.binary_search(&(p as u32)).is_err() {
-                sparse.holder_dc[p] = dense.holder_dc[p];
+                sparse.holder_dc[p] = full.holder_dc[p];
             }
         }
-        assert_eq!(&sparse, dense);
+        assert_eq!(&sparse, full);
     }
 
     #[test]
     #[allow(clippy::identity_op)] // the 0 terms keep the per-epoch breakdown readable
-    fn sparse_pass_bit_equals_dense_pass_across_epochs() {
+    fn sparse_pass_bit_equals_full_pass_across_epochs() {
         let topo = chain();
         let (parts, dcs, servers) = (8u32, 3u32, 3u32);
         let view = sample_view(parts, servers);
@@ -983,20 +852,20 @@ mod tests {
         ];
         for (e, active) in epochs.iter().enumerate() {
             let load = sparse_load(parts, dcs, active);
-            let dense = compute_traffic(&topo, &load, &view);
-            let sparse = engine.account_active(&topo, &load, &view, active).clone();
-            assert_sparse_matches_dense(&sparse, &dense, active);
+            let full = compute_traffic(&topo, &load, &view);
+            let sparse = engine.account_active(&topo, &load, &view, active, None).clone();
+            assert_matches_full_pass(&sparse, &full, active);
             for s in 0..servers {
                 let sid = ServerId::new(s);
                 assert_eq!(
                     sparse.server_load(sid).to_bits(),
-                    dense.server_load(sid).to_bits(),
+                    full.server_load(sid).to_bits(),
                     "server {s} load, epoch {e}"
                 );
             }
         }
         let stats = engine.stats();
-        assert_eq!(stats.sparse_passes, 6);
+        assert_eq!(stats.passes, 6);
         assert_eq!(stats.dirty_partitions, 4 + 2 + 0 + 5 + 8 + 1);
         assert_eq!(stats.skipped_partitions, 4 + 6 + 8 + 3 + 0 + 7);
     }
@@ -1006,11 +875,11 @@ mod tests {
         let topo = chain();
         let view = sample_view(8, 3);
         let load = sparse_load(8, 3, &[2, 6]);
-        let dense = compute_traffic(&topo, &load, &view);
+        let full = compute_traffic(&topo, &load, &view);
         let mut engine = TrafficEngine::new();
         let active = [1, 2, 4, 6, 7];
-        let sparse = engine.account_active(&topo, &load, &view, &active).clone();
-        assert_sparse_matches_dense(&sparse, &dense, &active);
+        let sparse = engine.account_active(&topo, &load, &view, &active, None).clone();
+        assert_matches_full_pass(&sparse, &full, &active);
     }
 
     #[test]
@@ -1019,37 +888,36 @@ mod tests {
         let view = sample_view(9, 3);
         let active: Vec<u32> = vec![0, 2, 3, 5, 8];
         let load = sparse_load(9, 3, &active);
-        let dense = compute_traffic(&topo, &load, &view);
+        let full = compute_traffic(&topo, &load, &view);
         for workers in [1, 2, 3, 7, 11] {
             let pool = WorkerPool::new(workers);
             let mut engine = TrafficEngine::new();
             // Twice: the second pass exercises the O(prev) partial clear.
-            engine.account_active_sharded(&topo, &load, &view, &active, &pool);
-            let sparse = engine.account_active_sharded(&topo, &load, &view, &active, &pool).clone();
-            assert_sparse_matches_dense(&sparse, &dense, &active);
+            engine.account_active(&topo, &load, &view, &active, Some(&pool));
+            let sparse = engine.account_active(&topo, &load, &view, &active, Some(&pool)).clone();
+            assert_matches_full_pass(&sparse, &full, &active);
         }
     }
 
     #[test]
-    fn alternating_dense_and_sparse_passes_stay_consistent() {
-        // Dense passes clobber the sparse bookkeeping and vice versa;
-        // every switch must land on the full-reset / full-reindex path.
+    fn alternating_full_and_narrow_passes_stay_consistent() {
+        // A narrow pass after a full one must clear every cell the full
+        // pass wrote, and a full pass after a narrow one must rewrite
+        // every cell: the partial clear follows the previous active list.
         let topo = chain();
         let view = sample_view(6, 3);
-        let full: Vec<u32> = (0..6).collect();
+        let full = all(6);
         let busy = sample_load(6, 3);
         let quiet = sparse_load(6, 3, &[4]);
-        let dense_busy = compute_traffic(&topo, &busy, &view);
-        let dense_quiet = compute_traffic(&topo, &quiet, &view);
+        let ref_busy = compute_traffic(&topo, &busy, &view);
+        let ref_quiet = compute_traffic(&topo, &quiet, &view);
         let mut engine = TrafficEngine::new();
-        assert_eq!(engine.account(&topo, &busy, &view), &dense_busy);
-        let sparse = engine.account_active(&topo, &quiet, &view, &[4]).clone();
-        assert_sparse_matches_dense(&sparse, &dense_quiet, &[4]);
-        assert_eq!(engine.account(&topo, &busy, &view), &dense_busy);
-        let sparse = engine.account_active(&topo, &busy, &view, &full).clone();
-        assert_sparse_matches_dense(&sparse, &dense_busy, &full);
-        let sparse = engine.account_active(&topo, &quiet, &view, &[4]).clone();
-        assert_sparse_matches_dense(&sparse, &dense_quiet, &[4]);
+        assert_eq!(engine.account_active(&topo, &busy, &view, &full, None), &ref_busy);
+        let sparse = engine.account_active(&topo, &quiet, &view, &[4], None).clone();
+        assert_matches_full_pass(&sparse, &ref_quiet, &[4]);
+        assert_eq!(engine.account_active(&topo, &busy, &view, &full, None), &ref_busy);
+        let sparse = engine.account_active(&topo, &quiet, &view, &[4], None).clone();
+        assert_matches_full_pass(&sparse, &ref_quiet, &[4]);
     }
 
     /// Datacenter A (one room, racks 0 and 1, one server each: s0, s1)
@@ -1118,12 +986,11 @@ mod tests {
             assert_eq!(acc.mean_path_length(), 0.0, "{how}");
         };
         let pool = WorkerPool::new(2);
-        check(TrafficEngine::new().account(&topo, &load, &view), "account");
-        check(TrafficEngine::new().account_active(&topo, &load, &view, &[0, 1]), "account_active");
-        check(TrafficEngine::new().account_sharded(&topo, &load, &view, &pool), "account_sharded");
+        check(&compute_traffic(&topo, &load, &view), "compute_traffic");
+        check(TrafficEngine::new().account_active(&topo, &load, &view, &[0, 1], None), "serial");
         check(
-            TrafficEngine::new().account_active_sharded(&topo, &load, &view, &[0, 1], &pool),
-            "account_active_sharded",
+            TrafficEngine::new().account_active(&topo, &load, &view, &[0, 1], Some(&pool)),
+            "pooled",
         );
     }
 
@@ -1133,7 +1000,7 @@ mod tests {
         let load = sample_load(4, 3);
         let view = sample_view(4, 3);
         let mut engine = TrafficEngine::new();
-        engine.account(&topo, &load, &view);
+        engine.account_active(&topo, &load, &view, &all(4), None);
         assert_eq!(engine.generation(), Some(topo.generation()));
         assert!(!engine.sync_topology(&topo), "same generation must not rebuild");
 
@@ -1141,9 +1008,8 @@ mod tests {
         // fresh engine built against the failed topology.
         topo.fail_server(ServerId::new(1)).unwrap();
         assert_ne!(engine.generation(), Some(topo.generation()));
-        let stale_refreshed = engine.account(&topo, &load, &view).clone();
-        let mut fresh = TrafficEngine::new();
-        assert_eq!(&stale_refreshed, fresh.account(&topo, &load, &view));
+        let stale_refreshed = engine.account_active(&topo, &load, &view, &all(4), None).clone();
+        assert_eq!(stale_refreshed, compute_traffic(&topo, &load, &view));
         assert_eq!(engine.generation(), Some(topo.generation()));
     }
 }

@@ -15,19 +15,9 @@
 
 use crate::grid::CellRows;
 use rfh_types::{PartitionId, ServerId};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Stamp source for [`PlacementView::version`]. Every mutation takes a
-/// globally fresh value, so two views with equal versions necessarily
-/// hold identical content (one is an unmutated clone of the other).
-static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
-
-fn next_version() -> u64 {
-    NEXT_VERSION.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Flattened placement + capacity view for one epoch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementView {
     /// Per partition: `(server, Σ over replicas of per-replica
     /// capacity)` for every server with positive capacity, ascending by
@@ -41,17 +31,6 @@ pub struct PlacementView {
     /// maintained on every mutation so sparse consumers learn the
     /// replica-cell population in O(1).
     nonzero: usize,
-    /// Content stamp, see [`version`](Self::version).
-    version: u64,
-}
-
-impl PartialEq for PlacementView {
-    /// Content equality: the version stamp is bookkeeping, not state.
-    fn eq(&self, other: &Self) -> bool {
-        self.servers == other.servers
-            && self.capacity == other.capacity
-            && self.holders == other.holders
-    }
 }
 
 impl PlacementView {
@@ -61,16 +40,7 @@ impl PlacementView {
         assert_eq!(holders.len(), partitions as usize, "one holder per partition required");
         let mut capacity = CellRows::default();
         capacity.reset(partitions as usize);
-        PlacementView { capacity, servers, holders, nonzero: 0, version: next_version() }
-    }
-
-    /// Content stamp. Every mutation moves it to a globally fresh
-    /// value, so equal versions imply identical capacities and holders
-    /// — an unmutated clone keeps its original's stamp. Consumers
-    /// (e.g. the traffic engine) key caches on it.
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.version
+        PlacementView { capacity, servers, holders, nonzero: 0 }
     }
 
     /// Number of partitions.
@@ -114,7 +84,6 @@ impl PlacementView {
         if queries_per_epoch > 0.0 && self.capacity.add(p.index(), s, queries_per_epoch) {
             self.nonzero += 1;
         }
-        self.version = next_version();
     }
 
     /// Total capacity provisioned for a partition across the cluster.
@@ -132,20 +101,17 @@ impl PlacementView {
         self.holders.clear();
         self.holders.resize(partitions as usize, ServerId::new(0));
         self.nonzero = 0;
-        self.version = next_version();
     }
 
     /// Re-point a partition's primary holder (delta update).
     pub fn set_holder(&mut self, p: PartitionId, holder: ServerId) {
         self.holders[p.index()] = holder;
-        self.version = next_version();
     }
 
     /// Drop one partition's capacity cells (delta update: callers then
     /// re-add the partition's current replica capacities).
     pub fn clear_partition(&mut self, p: PartitionId) {
         self.nonzero -= self.capacity.clear_row(p.index());
-        self.version = next_version();
     }
 
     /// Number of `(partition, server)` cells holding positive capacity —
@@ -198,27 +164,13 @@ mod tests {
     }
 
     #[test]
-    fn version_moves_on_every_mutation_and_clones_keep_it() {
+    fn equality_is_content_only() {
+        // A view mutated back to the same content equals a fresh one.
         let mut v = PlacementView::new(2, 3, vec![s(0), s(2)]);
-        let clone = v.clone();
-        assert_eq!(clone.version(), v.version(), "unmutated clone shares the stamp");
-
-        let mut seen = vec![v.version()];
         v.add_capacity(p(0), s(1), 1.0);
-        seen.push(v.version());
         v.set_holder(p(0), s(1));
-        seen.push(v.version());
         v.clear_partition(p(0));
-        seen.push(v.version());
         v.reset(2, 3);
-        seen.push(v.version());
-        let mut unique = seen.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), seen.len(), "every mutation takes a fresh stamp");
-
-        // The stamp is bookkeeping: equality is content-only.
-        assert_ne!(clone.version(), v.version());
         let fresh = PlacementView::new(2, 3, vec![s(0), s(0)]);
         v.set_holder(p(1), s(0));
         assert_eq!(v, fresh);

@@ -30,9 +30,8 @@ pub struct TrafficSmoother {
     traffic: Vec<f64>,
     /// Smoothed forwarding traffic (outflow), same layout.
     outflow: Vec<f64>,
-    /// Sparse-update bookkeeping: the pass at which each partition's
-    /// cells were last brought current (0 = never). Only
-    /// [`update_active`](Self::update_active) maintains these.
+    /// The pass at which each partition's cells were last brought
+    /// current (0 = never).
     stamps: Vec<u64>,
     /// Number of [`update_active`](Self::update_active) passes so far.
     pass: u64,
@@ -70,42 +69,21 @@ impl TrafficSmoother {
         }
     }
 
-    /// Fold one epoch's raw observations into the smoothed state.
-    pub fn update(&mut self, load: &QueryLoad, accounts: &TrafficAccounts) {
-        debug_assert_eq!(load.partitions() as usize, self.partitions);
-        for p in 0..self.partitions {
-            let obs = load.system_average(PartitionId::new(p as u32));
-            self.q_avg[p] = Self::smooth(self.alpha, self.q_avg[p], obs);
-        }
-        for p in 0..self.partitions {
-            let tr = accounts.dc_traffic.row(p);
-            let of = accounts.dc_outflow.row(p);
-            for dc in 0..self.dcs {
-                let i = p * self.dcs + dc;
-                self.traffic[i] = Self::smooth(self.alpha, self.traffic[i], tr[dc]);
-                self.outflow[i] = Self::smooth(self.alpha, self.outflow[i], of[dc]);
-            }
-        }
-    }
-
-    /// Sparse variant of [`update`](Self::update): fold one epoch's
-    /// observations for the `active` partitions only (sorted ascending,
-    /// deduplicated), catching each one's cells up over the epochs it
-    /// sat untouched first.
+    /// Fold one epoch's raw observations into the smoothed state, for
+    /// the `active` partitions only (sorted ascending, deduplicated),
+    /// catching each one's cells up over the epochs it sat untouched
+    /// first.
     ///
-    /// An inactive partition carries no load and no traffic, so the
-    /// dense pass would have fed its cells exact-zero observations every
-    /// epoch. Those zero steps are folded lazily here via
+    /// An inactive partition carries no load and no traffic, so folding
+    /// it epoch by epoch would feed its cells exact-zero observations.
+    /// Those zero steps are folded lazily here via
     /// [`rfh_stats::decay_zeros`], which is bit-identical to the
     /// explicit recurrence — a smoother driven by `update_active` with
-    /// supersets of the touched partitions equals one driven by the
-    /// dense [`update`](Self::update), bit for bit, on every cell a
-    /// decision ever reads (cells of partitions that were *never*
-    /// active stay lazily unfolded until first activation).
-    ///
-    /// A smoother must be driven exclusively through `update` or
-    /// exclusively through `update_active`; mixing the two desynchronises
-    /// the pass stamps.
+    /// supersets of the touched partitions equals one that folds every
+    /// partition every epoch, bit for bit, on every cell a decision ever
+    /// reads (cells of partitions that were *never* active stay lazily
+    /// unfolded until first activation). The unit tests check this
+    /// against a step-by-step fold.
     pub fn update_active(&mut self, load: &QueryLoad, accounts: &TrafficAccounts, active: &[u32]) {
         debug_assert_eq!(load.partitions() as usize, self.partitions);
         debug_assert!(
@@ -116,8 +94,8 @@ impl TrafficSmoother {
         let alpha = self.alpha;
         for &pu in active {
             let p = pu as usize;
-            // Zero observations the dense pass would have applied since
-            // this partition's cells were last brought current.
+            // Zero observations a step-by-step fold would have applied
+            // since this partition's cells were last brought current.
             let stamp = self.stamps[p];
             let gap = self.pass - 1 - stamp;
             self.stamps[p] = self.pass;
@@ -129,9 +107,9 @@ impl TrafficSmoother {
             let tr = accounts.dc_traffic.row(p);
             let of = accounts.dc_outflow.row(p);
             for dc in 0..self.dcs {
-                // A reset_dc wipes the cell to NaN; zeros that the dense
-                // pass applied *before* the reset are irrelevant, so the
-                // fold only covers epochs after the later of the two.
+                // A reset_dc wipes the cell to NaN; zero steps *before*
+                // the reset are irrelevant, so the fold only covers
+                // epochs after the later of the two.
                 let dc_gap = (self.pass - 1).saturating_sub(stamp.max(self.dc_reset_pass[dc]));
                 let i = p * self.dcs + dc;
                 Self::fold_gap(alpha, &mut self.traffic[i], dc_gap);
@@ -143,7 +121,7 @@ impl TrafficSmoother {
     }
 
     /// Apply `gap` zero-observation smoothing steps to one cell, exactly
-    /// as `gap` dense updates with a 0.0 observation would have: an
+    /// as `gap` step-by-step folds of a 0.0 observation would have: an
     /// unset (NaN) cell is seeded to 0.0 by the first zero and every
     /// further step keeps it at exactly 0.0.
     fn fold_gap(alpha: f64, cell: &mut f64, gap: u64) {
@@ -222,6 +200,26 @@ mod tests {
         DatacenterId::new(i)
     }
 
+    /// The reference fold: every partition and cell stepped once per
+    /// epoch through eqs. (10)–(11), with no stamps and no lazy decay.
+    /// It touches only the smoothed cells, so a smoother it drives must
+    /// not also be driven through `update_active`.
+    fn step_fold(s: &mut TrafficSmoother, load: &QueryLoad, accounts: &TrafficAccounts) {
+        for p in 0..s.partitions {
+            let obs = load.system_average(PartitionId::new(p as u32));
+            s.q_avg[p] = TrafficSmoother::smooth(s.alpha, s.q_avg[p], obs);
+        }
+        for p in 0..s.partitions {
+            let tr = accounts.dc_traffic.row(p);
+            let of = accounts.dc_outflow.row(p);
+            for dc in 0..s.dcs {
+                let i = p * s.dcs + dc;
+                s.traffic[i] = TrafficSmoother::smooth(s.alpha, s.traffic[i], tr[dc]);
+                s.outflow[i] = TrafficSmoother::smooth(s.alpha, s.outflow[i], of[dc]);
+            }
+        }
+    }
+
     /// Build a TrafficAccounts with chosen dc_traffic values.
     fn accounts(dcs: usize, parts: usize, cells: &[(usize, usize, f64)]) -> TrafficAccounts {
         let mut dc_traffic = Grid::zeros(parts, dcs);
@@ -259,7 +257,7 @@ mod tests {
         let mut load = QueryLoad::zeros(1, 2);
         load.add(p(0), d(0), 10); // system average = 10/2 = 5
         let acc = accounts(2, 1, &[(0, 0, 8.0), (1, 0, 2.0)]);
-        s.update(&load, &acc);
+        s.update_active(&load, &acc, &[0]);
         assert_eq!(s.q_avg(p(0)), 5.0, "first observation taken as-is");
         assert_eq!(s.traffic(d(0), p(0)), 8.0);
         assert_eq!(s.traffic(d(1), p(0)), 2.0);
@@ -271,10 +269,10 @@ mod tests {
         let mut s = TrafficSmoother::new(1, 1, 0.2);
         let mut load = QueryLoad::zeros(1, 1);
         load.add(p(0), d(0), 10);
-        s.update(&load, &accounts(1, 1, &[(0, 0, 10.0)]));
+        s.update_active(&load, &accounts(1, 1, &[(0, 0, 10.0)]), &[0]);
         // Second epoch: zero observation.
         let load2 = QueryLoad::zeros(1, 1);
-        s.update(&load2, &accounts(1, 1, &[(0, 0, 0.0)]));
+        s.update_active(&load2, &accounts(1, 1, &[(0, 0, 0.0)]), &[0]);
         // α·prev + (1−α)·obs = 0.2·10 + 0.8·0 = 2.
         assert!((s.q_avg(p(0)) - 2.0).abs() < 1e-12);
         assert!((s.traffic(d(0), p(0)) - 2.0).abs() < 1e-12);
@@ -284,13 +282,13 @@ mod tests {
     fn reset_dc_forgets_history() {
         let mut s = TrafficSmoother::new(1, 2, 0.5);
         let load = QueryLoad::zeros(1, 2);
-        s.update(&load, &accounts(2, 1, &[(0, 0, 100.0), (1, 0, 40.0)]));
+        s.update_active(&load, &accounts(2, 1, &[(0, 0, 100.0), (1, 0, 40.0)]), &[0]);
         s.reset_dc(d(0));
         assert_eq!(s.traffic(d(0), p(0)), 0.0);
         assert_eq!(s.traffic(d(1), p(0)), 40.0, "other DCs keep history");
         // The next observation re-initialises rather than smoothing
         // against stale state.
-        s.update(&load, &accounts(2, 1, &[(0, 0, 10.0), (1, 0, 0.0)]));
+        s.update_active(&load, &accounts(2, 1, &[(0, 0, 10.0), (1, 0, 0.0)]), &[0]);
         assert_eq!(s.traffic(d(0), p(0)), 10.0);
         assert_eq!(s.traffic(d(1), p(0)), 20.0);
     }
@@ -301,11 +299,12 @@ mod tests {
         let _ = TrafficSmoother::new(1, 1, 1.5);
     }
 
-    /// Drive one smoother densely and one sparsely through the same
-    /// observation stream and require bitwise-equal state on every cell
-    /// the sparse side ever brought current.
+    /// Drive one smoother through the step-by-step reference fold and
+    /// one sparsely through the same observation stream and require
+    /// bitwise-equal state on every cell the sparse side ever brought
+    /// current.
     #[test]
-    fn sparse_update_bit_equals_dense_update() {
+    fn sparse_update_bit_equals_step_fold() {
         let (parts, dcs) = (6u32, 3usize);
         // Epoch → (partition, per-dc traffic) observations. Partitions
         // 4 and 5 stay cold for long stretches; partition 3 is never
@@ -320,7 +319,7 @@ mod tests {
             vec![],
             vec![(4, [2.0, 2.0, 2.0]), (1, [0.0, 7.0, 0.0])],
         ];
-        let mut dense = TrafficSmoother::new(parts, dcs as u32, 0.2);
+        let mut reference = TrafficSmoother::new(parts, dcs as u32, 0.2);
         let mut sparse = TrafficSmoother::new(parts, dcs as u32, 0.2);
         for obs in &epochs {
             let mut load = QueryLoad::zeros(parts, dcs as u32);
@@ -332,7 +331,7 @@ mod tests {
                 }
             }
             let acc = accounts(dcs, parts as usize, &cells);
-            dense.update(&load, &acc);
+            step_fold(&mut reference, &load, &acc);
             let mut active: Vec<u32> = obs.iter().map(|&(pp, _)| pp).collect();
             active.sort_unstable();
             sparse.update_active(&load, &acc, &active);
@@ -341,23 +340,23 @@ mod tests {
         // then compare all cells bitwise.
         let load = QueryLoad::zeros(parts, dcs as u32);
         let acc = accounts(dcs, parts as usize, &[]);
-        dense.update(&load, &acc);
+        step_fold(&mut reference, &load, &acc);
         sparse.update_active(&load, &acc, &[0, 1, 2, 3, 4, 5]);
         for pp in 0..parts {
             assert_eq!(
                 sparse.q_avg(p(pp)).to_bits(),
-                dense.q_avg(p(pp)).to_bits(),
+                reference.q_avg(p(pp)).to_bits(),
                 "q_avg partition {pp}"
             );
             for dc in 0..dcs as u32 {
                 assert_eq!(
                     sparse.traffic(d(dc), p(pp)).to_bits(),
-                    dense.traffic(d(dc), p(pp)).to_bits(),
+                    reference.traffic(d(dc), p(pp)).to_bits(),
                     "traffic dc {dc} partition {pp}"
                 );
                 assert_eq!(
                     sparse.outflow(d(dc), p(pp)).to_bits(),
-                    dense.outflow(d(dc), p(pp)).to_bits(),
+                    reference.outflow(d(dc), p(pp)).to_bits(),
                     "outflow dc {dc} partition {pp}"
                 );
             }
@@ -365,27 +364,27 @@ mod tests {
     }
 
     /// `reset_dc` between sparse passes: cells wiped mid-gap must not
-    /// fold pre-reset zeros, exactly like the dense smoother.
+    /// fold pre-reset zeros, exactly like the step-by-step fold.
     #[test]
-    fn sparse_update_matches_dense_across_dc_reset() {
+    fn sparse_update_matches_step_fold_across_dc_reset() {
         let (parts, dcs) = (3u32, 2usize);
-        let mut dense = TrafficSmoother::new(parts, dcs as u32, 0.5);
+        let mut reference = TrafficSmoother::new(parts, dcs as u32, 0.5);
         let mut sparse = TrafficSmoother::new(parts, dcs as u32, 0.5);
         let seed = accounts(dcs, parts as usize, &[(0, 0, 32.0), (1, 0, 16.0), (0, 2, 8.0)]);
         let mut load = QueryLoad::zeros(parts, dcs as u32);
         load.add(p(0), d(0), 6);
         load.add(p(2), d(1), 2);
-        dense.update(&load, &seed);
+        step_fold(&mut reference, &load, &seed);
         sparse.update_active(&load, &seed, &[0, 2]);
 
         // Partitions go quiet, then DC 0 loses its history.
         let quiet = accounts(dcs, parts as usize, &[]);
         let none = QueryLoad::zeros(parts, dcs as u32);
-        dense.update(&none, &quiet);
-        dense.update(&none, &quiet);
+        step_fold(&mut reference, &none, &quiet);
+        step_fold(&mut reference, &none, &quiet);
         sparse.update_active(&none, &quiet, &[]);
         sparse.update_active(&none, &quiet, &[]);
-        dense.reset_dc(d(0));
+        reference.reset_dc(d(0));
         sparse.reset_dc(d(0));
 
         // Partition 0 reactivates on the very next pass (the seed-vs-
@@ -393,29 +392,29 @@ mod tests {
         let obs = accounts(dcs, parts as usize, &[(0, 0, 4.0), (1, 0, 4.0)]);
         load.clear();
         load.add(p(0), d(0), 4);
-        dense.update(&load, &obs);
+        step_fold(&mut reference, &load, &obs);
         sparse.update_active(&load, &obs, &[0]);
         let late = accounts(dcs, parts as usize, &[(0, 2, 2.0)]);
         let mut load2 = QueryLoad::zeros(parts, dcs as u32);
         load2.add(p(2), d(0), 2);
-        dense.update(&load2, &late);
+        step_fold(&mut reference, &load2, &late);
         sparse.update_active(&load2, &late, &[2]);
 
         // Catch every cell up before comparing: sparse cells are stale
         // by design until their partition next activates.
         let none2 = QueryLoad::zeros(parts, dcs as u32);
-        dense.update(&none2, &quiet);
+        step_fold(&mut reference, &none2, &quiet);
         sparse.update_active(&none2, &quiet, &[0, 1, 2]);
 
         for pp in [0u32, 2] {
             for dc in 0..dcs as u32 {
                 assert_eq!(
                     sparse.traffic(d(dc), p(pp)).to_bits(),
-                    dense.traffic(d(dc), p(pp)).to_bits(),
+                    reference.traffic(d(dc), p(pp)).to_bits(),
                     "traffic dc {dc} partition {pp}"
                 );
             }
-            assert_eq!(sparse.q_avg(p(pp)).to_bits(), dense.q_avg(p(pp)).to_bits());
+            assert_eq!(sparse.q_avg(p(pp)).to_bits(), reference.q_avg(p(pp)).to_bits());
         }
     }
 }

@@ -11,6 +11,8 @@ use rfh_types::{DatacenterId, PartitionId, RackId, RoomId, ServerId};
 use rfh_workload::QueryLoad;
 
 const PARTITIONS: u32 = 4;
+/// Every partition, ascending: the active list of a full pass.
+const ALL: [u32; PARTITIONS as usize] = [0, 1, 2, 3];
 const DCS: u32 = 10;
 const SERVERS: u32 = 100;
 
@@ -75,7 +77,7 @@ proptest! {
         let (load, view) = build(&setup, SERVERS);
         let legacy = compute_traffic(&topo, &load, &view);
         let mut engine = TrafficEngine::new();
-        prop_assert_eq!(engine.account(&topo, &load, &view), &legacy);
+        prop_assert_eq!(engine.account_active(&topo, &load, &view, &ALL, None), &legacy);
     }
 
     /// Reuse under churn: one long-lived engine, mutated topology
@@ -105,10 +107,10 @@ proptest! {
             let servers = topo.server_count() as u32;
             let (load, view) = build(&setup, servers);
             let legacy = compute_traffic(&topo, &load, &view);
-            let reused = engine.account(&topo, &load, &view);
+            let reused = engine.account_active(&topo, &load, &view, &ALL, None);
             prop_assert_eq!(reused, &legacy, "reused engine diverged from legacy pass");
             let mut fresh = TrafficEngine::new();
-            prop_assert_eq!(fresh.account(&topo, &load, &view), &legacy,
+            prop_assert_eq!(fresh.account_active(&topo, &load, &view, &ALL, None), &legacy,
                 "fresh engine diverged from legacy pass");
         }
     }

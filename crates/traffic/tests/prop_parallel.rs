@@ -12,6 +12,8 @@ use rfh_types::{DatacenterId, PartitionId, ServerId};
 use rfh_workload::QueryLoad;
 
 const PARTITIONS: u32 = 4;
+/// Every partition, ascending: the active list of a full pass.
+const ALL: [u32; PARTITIONS as usize] = [0, 1, 2, 3];
 const DCS: u32 = 10;
 const SERVERS: u32 = 100;
 
@@ -63,11 +65,11 @@ proptest! {
         let legacy = compute_traffic(&topo, &load, &view);
         let pool = WorkerPool::new(workers);
         let mut engine = TrafficEngine::new();
-        // Two passes through the same engine: the first builds the
-        // capacity index, the second restores it from cache — both
-        // sharded paths must match the legacy pass.
-        prop_assert_eq!(engine.account_sharded(&topo, &load, &view, &pool), &legacy);
-        prop_assert_eq!(engine.account_sharded(&topo, &load, &view, &pool), &legacy);
+        // Two passes through the same engine: the first resets the
+        // accounts in full, the second clears only the cells the first
+        // wrote — both sharded paths must match the legacy pass.
+        prop_assert_eq!(engine.account_active(&topo, &load, &view, &ALL, Some(&pool)), &legacy);
+        prop_assert_eq!(engine.account_active(&topo, &load, &view, &ALL, Some(&pool)), &legacy);
     }
 
     /// One engine, alternating pool widths between passes: the shard
@@ -84,7 +86,7 @@ proptest! {
         for &w in &widths {
             let pool = WorkerPool::new(w);
             prop_assert_eq!(
-                engine.account_sharded(&topo, &load, &view, &pool), &legacy,
+                engine.account_active(&topo, &load, &view, &ALL, Some(&pool)), &legacy,
                 "diverged at pool width {}", w
             );
         }
